@@ -1,0 +1,110 @@
+"""Write the command-line artifact matrix into a directory and hash it.
+
+Runs a fixed set of ``ofdma-underlay`` invocations (both presets, two
+primaries, a short imperfect band, a wideband discrete solve, zero power
+in both modes, the I_th and epsilon sweeps, two SINR tables, ``validate``
+and ``selftest``), each in a fresh single-threaded process, and prints
+one ``sha256  path`` line per written file, sorted by path.  Every
+command writes its standard output to ``<name>/stdout.txt`` and its exit
+code to ``<name>/exit.txt``; commands run inside the output directory
+with relative ``--out`` paths, so nothing machine-specific lands in
+them.  The lines are in ``sha256sum`` format, so two source trees are
+compared by diffing the script's output on each (see the README).
+
+Usage:
+    python3 scripts/artifact_digest.py OUT_DIR [--src SRC_DIR]
+
+``--src`` is the directory that holds the ``ofdma_underlay`` package;
+it defaults to ``src/`` next to this script.  Takes about 30 s on two
+cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+
+IMP_M2 = ["--set", "num_primaries=2", "--set", "interference_limit_w=4,6",
+          "--set", "collision_limit=0.05,0.2"]
+WIDE = ["--set", "num_users=8", "--set", "num_subcarriers=256",
+        "--set", "num_primaries=2", "--set", "interference_limit_w=10,10",
+        "--rate", "discrete"]
+
+# (name, arguments); "{out}" becomes the command's own directory
+MATRIX = [
+    ("run-det", ["run", "--preset", "deterministic", "--states", "300",
+                 "--out", "{out}"]),
+    ("run-imp", ["run", "--preset", "imperfect", "--states", "300",
+                 "--out", "{out}"]),
+    ("run-imp-m2", ["run", "--preset", "imperfect", *IMP_M2,
+                    "--states", "200", "--out", "{out}"]),
+    ("run-imp-k8", ["run", "--preset", "imperfect", "--set", "num_subcarriers=8",
+                    "--set", "correlation=0.3", "--states", "300",
+                    "--out", "{out}"]),
+    ("run-wide-m2", ["run", "--preset", "deterministic", *WIDE,
+                     "--states", "40", "--out", "{out}"]),
+    ("run-det-zero", ["run", "--preset", "deterministic",
+                      "--set", "total_power_w=0", "--out", "{out}"]),
+    ("run-imp-zero", ["run", "--preset", "imperfect",
+                      "--set", "total_power_w=0", "--out", "{out}"]),
+    ("sweep-ith", ["sweep", "--preset", "deterministic", "--axis", "ith",
+                   "--values", "1,2,5,10,20", "--states", "100",
+                   "--threads", "1", "--out", "{out}"]),
+    ("sweep-eps", ["sweep", "--preset", "imperfect", "--axis", "epsilon",
+                   "--values", "0.05,0.1,0.2", "--states", "200",
+                   "--threads", "1", "--out", "{out}"]),
+    ("dist-det", ["dist-table", "--preset", "deterministic", "--points", "60",
+                  "--mc-samples", "20000"]),
+    ("dist-degenerate", ["dist-table", "--preset", "imperfect",
+                         "--set", "cross_var=1e-30", "--set", "error_var=1e-30",
+                         "--points", "60", "--out", "{out}"]),
+    ("validate", ["validate", "--preset", "imperfect", *IMP_M2]),
+    ("selftest", ["selftest"]),
+]
+
+
+def run_matrix(out_dir: str, src_dir: str) -> None:
+    env = dict(os.environ, PYTHONPATH=src_dir, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for name, args in MATRIX:
+        os.makedirs(os.path.join(out_dir, name), exist_ok=True)
+        argv = [a.replace("{out}", name) for a in args]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ofdma_underlay.cli", *argv], cwd=out_dir,
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        with open(os.path.join(out_dir, name, "stdout.txt"), "wb") as fh:
+            fh.write(proc.stdout)
+        with open(os.path.join(out_dir, name, "exit.txt"), "w") as fh:
+            fh.write("%d\n" % proc.returncode)
+
+
+def digests(out_dir: str) -> list:
+    lines = []
+    for root, _, files in os.walk(out_dir):
+        for fname in files:
+            path = os.path.join(root, fname)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append("%s  %s" % (digest, os.path.relpath(path, out_dir)))
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def main(argv=None) -> int:
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", help="directory for the artifacts (created)")
+    parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
+                        help="directory holding the ofdma_underlay package")
+    args = parser.parse_args(argv)
+    out_dir = os.path.abspath(args.out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    run_matrix(out_dir, os.path.abspath(args.src))
+    print("\n".join(digests(out_dir)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig, uniform_gain_means
+from .config import ScenarioConfig
 from .errors import ModeError
 
 __all__ = [
     "ChannelRealization",
     "BatchRealizations",
     "PosteriorCrossStats",
-    "sample_direct_means",
     "sample_realization",
     "sample_realizations",
     "posterior_stats",
@@ -82,17 +81,12 @@ class BatchRealizations:
 class PosteriorCrossStats:
     """Cross-link distribution conditioned on the observed estimates.
 
-    mean     : (M, K) posterior means
+    mean     : posterior means, shaped like the estimates ((M, K) or (S, M, K))
     variance : per-component posterior variance, common to all entries
     """
 
     mean: np.ndarray
     variance: float
-
-
-def sample_direct_means(cfg: ScenarioConfig, seed: int) -> np.ndarray:
-    """Fresh uniform-(0, 2] mean matrix at the scenario's dimensions."""
-    return uniform_gain_means(cfg.num_users, cfg.num_subcarriers, seed)
 
 
 def _stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -118,11 +112,7 @@ def _draw_state(cfg: ScenarioConfig, rng: np.random.Generator):
 
 def sample_realization(cfg: ScenarioConfig, stream: int) -> ChannelRealization:
     """Draw the fading state for one realization index."""
-    rng = _stream_rng(cfg.rng_seed, stream)
-    direct, true, est, err = _draw_state(cfg, rng)
-    if cfg.csi_mode == "perfect":
-        est, err = true, np.zeros_like(true)
-    return ChannelRealization(direct, true, est, err, int(stream))
+    return sample_realizations(cfg, [stream]).state(0)
 
 
 def sample_realizations(cfg: ScenarioConfig, streams) -> BatchRealizations:
@@ -135,11 +125,11 @@ def sample_realizations(cfg: ScenarioConfig, streams) -> BatchRealizations:
     est = np.empty((s, m, k), dtype=complex)
     err = np.empty((s, m, k), dtype=complex)
     for i, stream in enumerate(streams):
-        real = sample_realization(cfg, int(stream))
-        direct[i] = real.direct_power
-        true[i] = real.cross_true
-        est[i] = real.cross_est
-        err[i] = real.cross_err
+        direct[i], true[i], est[i], err[i] = _draw_state(
+            cfg, _stream_rng(cfg.rng_seed, stream))
+    if cfg.csi_mode == "perfect":
+        est[:] = true
+        err[:] = 0.0
     return BatchRealizations(direct, true, est, err, streams)
 
 
@@ -152,6 +142,5 @@ def posterior_stats(cfg: ScenarioConfig, cross_est: np.ndarray) -> PosteriorCros
     """
     if cfg.csi_mode != "imperfect":
         raise ModeError("posterior statistics are defined only for csi_mode=imperfect")
-    rho = cfg.correlation
-    mean = (1.0 + rho * rho) * np.asarray(cross_est)
+    mean = (1.0 + cfg.correlation ** 2) * np.asarray(cross_est)
     return PosteriorCrossStats(mean=mean, variance=cfg.posterior_var)

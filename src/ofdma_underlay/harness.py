@@ -15,7 +15,6 @@ sorted keys, no timestamps.
 from __future__ import annotations
 
 import json
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .channel import sample_realizations
+from .channel import posterior_stats, sample_realizations
 from .config import ScenarioConfig
 from .errors import ConfigError
-from .interference import surrogate_budget
+from .interference import (_AUDIT_TAG, _posterior_collisions, enforced_budgets,
+                           xi_means)
 from .optimizer import SolveResult, solve_dual
 
 __all__ = [
@@ -111,11 +111,7 @@ class EvaluationReport:
 def _zero_power_report(cfg: ScenarioConfig, num_states: int) -> EvaluationReport:
     m = cfg.num_primaries
     zeros = [0.0] * m
-    budgets = list(cfg.interference_limit_w)
-    if cfg.constraint_mode == "probabilistic":
-        budgets = [surrogate_budget(cfg.interference_limit_w[j],
-                                    cfg.collision_limit[j], cfg.num_subcarriers)
-                   for j in range(m)]
+    budgets = [float(b) for b in enforced_budgets(cfg)]
     return EvaluationReport(
         fingerprint=cfg.fingerprint(), csi_mode=cfg.csi_mode,
         constraint_mode=cfg.constraint_mode, rate_mode=cfg.rate_mode,
@@ -141,10 +137,9 @@ def _collision_analytic(cfg: ScenarioConfig, batch, power_sel: np.ndarray):
     fit is exact for one loaded subcarrier with a zero-mean posterior and
     approximate otherwise.
     """
-    v = cfg.posterior_var
-    post_mean = (1.0 + cfg.correlation ** 2) * batch.cross_est      # (S, M, K)
-    delta = (post_mean.real ** 2 + post_mean.imag ** 2) / v
-    lam = power_sel[:, None, :] * v                                 # (S, M, K)
+    post = posterior_stats(cfg, batch.cross_est)                    # (S, M, K)
+    delta = xi_means(post)
+    lam = power_sel[:, None, :] * post.variance                     # (S, M, K)
     mean = np.sum(lam * (2.0 + delta), axis=2)                      # (S, M)
     var = np.sum(4.0 * lam * lam * (1.0 + delta), axis=2)
     limits = np.asarray(cfg.interference_limit_w)
@@ -162,27 +157,14 @@ def _collision_analytic(cfg: ScenarioConfig, batch, power_sel: np.ndarray):
 def _collision_mc(cfg: ScenarioConfig, batch, power_sel: np.ndarray,
                   state_indices, samples: int):
     """Posterior-resampled collision frequency on a subsample of states."""
-    v = cfg.posterior_var
-    scale = math.sqrt(v)
     limits = np.asarray(cfg.interference_limit_w)
-    m, k = cfg.num_primaries, cfg.num_subcarriers
-    worst = np.zeros(m)
+    worst = np.zeros(cfg.num_primaries)
     worst_stderr = 0.0
     for s in state_indices:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.rng_seed, 0xA0D17, int(batch.streams[s]))))
-        mean = (1.0 + cfg.correlation ** 2) * batch.cross_est[s]    # (M, K)
-        power = power_sel[s]
-        hits = np.zeros(m)
-        done = 0
-        while done < samples:
-            block = min(samples - done, 1 << 12)
-            noise = rng.standard_normal((2, block, m, k))
-            draw = mean + scale * (noise[0] + 1j * noise[1])
-            interf = (draw.real ** 2 + draw.imag ** 2) @ power      # (block, M)
-            hits += np.sum(interf > limits, axis=0)
-            done += block
-        prob = hits / samples
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (cfg.rng_seed, _AUDIT_TAG, int(batch.streams[s]))))
+        post = posterior_stats(cfg, batch.cross_est[s])             # (M, K)
+        prob = _posterior_collisions(rng, post, power_sel[s], limits, samples)
         stderr = np.sqrt(np.maximum(prob * (1.0 - prob), 1.0 / samples) / samples)
         pick = prob > worst
         worst = np.where(pick, prob, worst)
@@ -203,6 +185,8 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
     """
     if num_states < 1:
         raise ConfigError("num_states must be >= 1")
+    if audit_states < 0 or audit_samples < 1:
+        raise ConfigError("audit_states must be >= 0 and audit_samples >= 1")
     start = time.perf_counter()
     if cfg.total_power_w == 0.0:
         report = _zero_power_report(cfg, num_states)

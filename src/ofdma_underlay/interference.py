@@ -49,6 +49,7 @@ __all__ = [
     "composite_chisq",
     "central_tail_approx",
     "surrogate_budget",
+    "enforced_budgets",
     "audit_probabilistic",
     "deterministic_audit_csv",
     "collision_audit_csv",
@@ -92,13 +93,11 @@ def audit_deterministic(alloc, real: ChannelRealization,
 
 def xi_mean(post: PosteriorCrossStats, m: int, k: int) -> float:
     """Noncentrality |posterior mean|^2 / posterior variance of one link."""
-    if post.variance <= 0.0:
-        raise ValueError("posterior variance is zero: noncentrality undefined")
-    return float(abs(post.mean[m, k]) ** 2 / post.variance)
+    return float(xi_means(post)[m, k])
 
 
 def xi_means(post: PosteriorCrossStats) -> np.ndarray:
-    """All noncentralities at once, shape (M, K)."""
+    """All noncentralities at once, shaped like the posterior mean."""
     if post.variance <= 0.0:
         raise ValueError("posterior variance is zero: noncentrality undefined")
     mean = post.mean
@@ -106,7 +105,7 @@ def xi_means(post: PosteriorCrossStats) -> np.ndarray:
 
 
 def alpha_weights(post: PosteriorCrossStats) -> np.ndarray:
-    """Certainty-equivalent interference weights var*(2 + mu_xi), shape (M, K)."""
+    """Certainty-equivalent interference weights var*(2 + mu_xi), like xi_means."""
     return post.variance * (2.0 + xi_means(post))
 
 
@@ -194,6 +193,31 @@ def surrogate_budget(i_th: float, eps: float, k: int) -> float:
     return min(spread, i_th / -math.log(eps))
 
 
+def enforced_budgets(cfg: ScenarioConfig) -> np.ndarray:
+    """Per-state budget at each primary: its limit, or that limit's collision surrogate."""
+    if cfg.constraint_mode != "probabilistic":
+        return np.asarray(cfg.interference_limit_w, dtype=float)
+    return np.array([surrogate_budget(i_th, eps, cfg.num_subcarriers)
+                     for i_th, eps in zip(cfg.interference_limit_w, cfg.collision_limit)])
+
+
+def _posterior_collisions(rng, post: PosteriorCrossStats, power, limits, samples: int):
+    """Fraction of posterior redraws of the (M, K) cross links above each limit.
+
+    Draws in blocks of 4096 redraws: a block's real parts, then its imaginary parts.
+    """
+    mean, std = post.mean, math.sqrt(post.variance)
+    hits = np.zeros(mean.shape[0])
+    done = 0
+    while done < samples:
+        block = min(samples - done, 1 << 12)
+        re = mean.real + std * rng.standard_normal((block,) + mean.shape)
+        im = mean.imag + std * rng.standard_normal((block,) + mean.shape)
+        hits += np.sum((re * re + im * im) @ power > limits, axis=0)
+        done += block
+    return hits / samples
+
+
 def audit_probabilistic(alloc, post: PosteriorCrossStats, cfg: ScenarioConfig,
                         samples: int = 100_000, seed: int | None = None) -> CollisionAudit:
     """Monte Carlo exceedance probability of an allocation under the posterior.
@@ -205,28 +229,13 @@ def audit_probabilistic(alloc, post: PosteriorCrossStats, cfg: ScenarioConfig,
     if samples < 10_000:
         raise ValueError("need >= 1e4 samples for a usable exceedance estimate")
     power = np.sum(alloc.phi * alloc.power, axis=0)        # (K,)
-    m_count, k_count = post.mean.shape
-    if power.shape[0] != k_count:
+    if power.shape[0] != post.mean.shape[1]:
         raise ShapeError("allocation and posterior disagree on num_subcarriers")
     if seed is None:
         seed = cfg.rng_seed
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _AUDIT_TAG)))
-    std = math.sqrt(post.variance)
     limits = np.asarray(cfg.interference_limit_w)
-
-    hits = np.zeros(m_count)
-    chunk = 1 << 14
-    done = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        re = rng.standard_normal((size, m_count, k_count))
-        im = rng.standard_normal((size, m_count, k_count))
-        re = post.mean.real + std * re
-        im = post.mean.imag + std * im
-        interference = (re * re + im * im) @ power          # (size, M)
-        hits += np.sum(interference > limits, axis=0)
-        done += size
-    prob = hits / samples
+    prob = _posterior_collisions(rng, post, power, limits, samples)
     stderr = np.sqrt(prob * (1.0 - prob) / samples)
     eps = np.asarray(cfg.collision_limit, dtype=float)
     return CollisionAudit(collision_prob=prob, stderr=stderr,

@@ -45,10 +45,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BatchRealizations, ChannelRealization, sample_realizations
+from .channel import (BatchRealizations, ChannelRealization, posterior_stats,
+                      sample_realizations)
 from .config import ScenarioConfig
 from .errors import ConvergenceError, InfeasibleError, ShapeError
-from .interference import posterior_aggregate_params, surrogate_budget
+from .interference import alpha_weights, enforced_budgets, posterior_aggregate_params
 from .modulation import LN2, RatePolicy, cutoff_threshold, discretize_rate
 from .sinr import SinrDistribution, gaussian_sum_params
 
@@ -230,23 +231,16 @@ class _Workspace:
         self.count = s
         self.streams = np.asarray(batch.streams)
 
-        probabilistic = cfg.constraint_mode == "probabilistic"
-        if probabilistic:
-            post_mean = (1.0 + cfg.correlation ** 2) * batch.cross_est
-            post_var = cfg.posterior_var
-            mu_xi = (post_mean.real ** 2 + post_mean.imag ** 2) / post_var
-            weights = post_var * (2.0 + mu_xi)                     # (S, M, K)
-            budgets = np.array([
-                surrogate_budget(cfg.interference_limit_w[j], cfg.collision_limit[j], k)
-                for j in range(m)])
+        if cfg.constraint_mode == "probabilistic":
+            weights = alpha_weights(posterior_stats(cfg, batch.cross_est))  # (S, M, K)
             agg_mean, agg_var = posterior_aggregate_params(cfg)
         else:
             known = batch.cross_true if cfg.csi_mode == "perfect" else batch.cross_est
             weights = known.real ** 2 + known.imag ** 2            # (S, M, K)
-            budgets = np.asarray(cfg.interference_limit_w, dtype=float)
             var_src = cfg.cross_var if cfg.csi_mode == "perfect" else cfg.estimate_var
             agg_mean, agg_var = gaussian_sum_params(cfg.cross_mean, var_src, k)
 
+        budgets = enforced_budgets(cfg)
         self.weights = weights
         self.budgets = budgets
 

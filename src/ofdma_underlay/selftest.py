@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .harness import run_experiment
-from .interference import surrogate_budget
+from .interference import enforced_budgets
 from .modulation import ber_bound, ber_slope, max_constellation
 from .presets import deterministic_benchmark, imperfect_benchmark
 from .sinr import gaussian_sum_params, sample_sinr_mc, sinr_distribution
@@ -41,9 +41,13 @@ def _check_modulation():
 
 
 def _check_surrogate():
-    k1 = surrogate_budget(2.0, 0.05, 1)
+    one = imperfect_benchmark(num_subcarriers=1, interference_limit_w=(2.0,),
+                              collision_limit=(0.05,))
+    k1 = enforced_budgets(one)[0]
     ok = abs(k1 - 2.0 / abs(math.log(0.05))) < 1e-12
-    seq = [surrogate_budget(10.0, e, 64) for e in (0.02, 0.05, 0.1, 0.2)]
+    wide = imperfect_benchmark(interference_limit_w=(10.0,))
+    seq = [enforced_budgets(wide.with_updates(collision_limit=(e,)))[0]
+           for e in (0.02, 0.05, 0.1, 0.2)]
     ok = ok and all(a < b for a, b in zip(seq, seq[1:])) and seq[0] > 0.0
     return ok, "budget(10 W, eps=0.1, K=64) = %.4f W" % seq[2]
 

@@ -39,6 +39,15 @@ def test_reproducibility_and_stream_independence():
     np.testing.assert_array_equal(batch.state(1).cross_true, one.cross_true)
 
 
+def test_single_draw_matches_batch_row_in_imperfect_mode():
+    cfg = imperfect_benchmark(num_subcarriers=16)
+    one = sample_realization(cfg, 7)
+    row = sample_realizations(cfg, [5, 7, 9]).state(1)
+    for name in ("direct_power", "cross_true", "cross_est", "cross_err"):
+        np.testing.assert_array_equal(getattr(one, name), getattr(row, name))
+    assert one.stream == row.stream == 7
+
+
 def test_direct_gain_exponential_law():
     means = np.full((1, 4), 1.0)
     cfg = deterministic_benchmark(num_users=1, num_subcarriers=4,

@@ -140,6 +140,16 @@ def test_sweep_rejects_unsorted_values(config_file, tmp_path, capsys):
     assert err.startswith("ERROR 2:") and "sorted" in err
 
 
+def test_bad_audit_arguments_exit_two(tmp_path, capsys):
+    assert main(["run", "--preset", "imperfect", "--states", "20",
+                 "--audit-samples", "0"]) == 2
+    assert main(["sweep", "--preset", "imperfect", "--axis", "epsilon",
+                 "--values", "0.1", "--states", "20", "--audit-states", "-1",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("ERROR 2:") for line in err)
+
+
 def test_sweep_rejects_bad_value_text(config_file, tmp_path, capsys):
     rc = main(["sweep", "--config", config_file, "--axis", "ith",
                "--values", "1,zap", "--states", "20",

@@ -66,6 +66,14 @@ def test_zero_power_probabilistic_budget_is_surrogate():
     assert report.collision_analytic_max == [0.0]
 
 
+def test_audit_arguments_rejected_with_config_error():
+    cfg = _small_imperfect(num_subcarriers=8)
+    for kwargs in ({"audit_samples": 0}, {"audit_samples": -5},
+                   {"audit_states": -1}):
+        with pytest.raises(ConfigError, match="audit"):
+            run_experiment(cfg, 20, **kwargs)
+
+
 def test_experiment_is_deterministic():
     cfg = _cfg()
     first = run_experiment(cfg, 120)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ofdma_underlay.channel import (PosteriorCrossStats, posterior_stats,
                                     sample_realization)
@@ -13,7 +14,7 @@ from ofdma_underlay.interference import (alpha_weights, audit_deterministic,
                                          central_tail_approx,
                                          collision_audit_csv, composite_chisq,
                                          deterministic_audit_csv,
-                                         posterior_aggregate,
+                                         enforced_budgets, posterior_aggregate,
                                          posterior_aggregate_params,
                                          surrogate_budget, xi_mean, xi_means)
 from ofdma_underlay.optimizer import AllocationPolicy
@@ -206,6 +207,28 @@ def test_surrogate_budget_capped_at_single_carrier_limit():
             assert surrogate_budget(5.0, eps, k) <= cap * (1.0 + 1e-12)
     assert surrogate_budget(5.0, 0.05, 64) == pytest.approx(
         5.0 / math.log(20.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("eps, delta", [
+    (0.05, 0.0),
+    pytest.param(0.5, 50.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: the cap I_th / ln(1/eps) is exact only for a "
+        "zero-mean posterior; an exact per-state tail closes the gap"))),
+])
+def test_single_loaded_carrier_keeps_collision_limit(eps, delta):
+    # K = 1, where the cap is the whole budget: all power on one subcarrier
+    # whose posterior mean has noncentrality delta, loaded to budget / alpha
+    cfg = imperfect_benchmark(num_users=1, num_subcarriers=1,
+                              collision_limit=(eps,))
+    v = cfg.posterior_var
+    est = np.array([[math.sqrt(delta * v) / (1.0 + cfg.correlation ** 2)]],
+                   dtype=complex)
+    post = posterior_stats(cfg, est)
+    power = enforced_budgets(cfg)[0] / alpha_weights(post)[0, 0]
+    # P |H|^2 > I  <=>  chisq_2(delta) > I / (P v)
+    collision = stats.ncx2.sf(cfg.interference_limit_w[0] / (power * v), 2,
+                              xi_means(post)[0, 0])
+    assert collision <= eps * (1.0 + 1e-9)
 
 
 def test_probabilistic_audit_zero_power():
