@@ -2,7 +2,7 @@
 
 Runs a fixed set of ``ofdma-underlay`` invocations (both presets, two
 primaries, a short imperfect band, a wideband discrete solve, zero power
-in both modes, the I_th and epsilon sweeps, two SINR tables, ``validate``
+in both modes, the I_th and epsilon sweeps, three SINR tables, ``validate``
 and ``selftest``), each in a fresh single-threaded process, and prints
 one ``sha256  path`` line per written file, sorted by path.  Every
 command writes its standard output to ``<name>/stdout.txt`` and its exit
@@ -58,6 +58,9 @@ MATRIX = [
                    "--threads", "1", "--out", "{out}"]),
     ("dist-det", ["dist-table", "--preset", "deterministic", "--points", "60",
                   "--mc-samples", "20000"]),
+    ("dist-capped", ["dist-table", "--preset", "deterministic",
+                     "--set", "interference_limit_w=2", "--points", "60",
+                     "--mc-samples", "20000"]),
     ("dist-degenerate", ["dist-table", "--preset", "imperfect",
                          "--set", "cross_var=1e-30", "--set", "error_var=1e-30",
                          "--points", "60", "--out", "{out}"]),

@@ -142,5 +142,5 @@ def posterior_stats(cfg: ScenarioConfig, cross_est: np.ndarray) -> PosteriorCros
     """
     if cfg.csi_mode != "imperfect":
         raise ModeError("posterior statistics are defined only for csi_mode=imperfect")
-    mean = (1.0 + cfg.correlation ** 2) * np.asarray(cross_est)
+    mean = cfg.posterior_gain * np.asarray(cross_est)
     return PosteriorCrossStats(mean=mean, variance=cfg.posterior_var)

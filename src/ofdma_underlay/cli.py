@@ -282,13 +282,15 @@ def _cmd_dist_table(args) -> int:
     dist = sinr_distribution(cfg, n, k, m)
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
+    if args.mc_samples < 0:
+        raise ConfigError("--mc-samples must be >= 0")
     gamma_max = args.gamma_max
     if gamma_max is None:
         p_ref = min(cfg.total_power_w / cfg.num_subcarriers,
                     dist.budget_w / dist.agg_mean)
         gamma_max = 8.0 * dist.direct_mean * p_ref / cfg.total_noise_w
-    if gamma_max <= 0.0:
-        raise ConfigError("--gamma-max must be positive")
+    if not 0.0 < gamma_max < np.inf:
+        raise ConfigError("--gamma-max must be positive and finite")
     grid = np.linspace(0.0, gamma_max, args.points)
     columns = ["gamma", "cdf_closed", "pdf_closed"]
     cdf = dist.cdf(grid)

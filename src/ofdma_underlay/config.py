@@ -196,6 +196,11 @@ class ScenarioConfig:
         return self.estimate_std ** 2
 
     @property
+    def posterior_gain(self) -> float:
+        """Factor 1 + rho^2 from a cross-link estimate to its posterior mean."""
+        return 1.0 + self.correlation ** 2
+
+    @property
     def posterior_var(self) -> float:
         """Per-component variance of the cross link conditioned on its estimate."""
         return (1.0 - self.correlation ** 2) * self.error_var

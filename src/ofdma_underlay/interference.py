@@ -123,7 +123,7 @@ def posterior_aggregate_params(cfg: ScenarioConfig):
     """
     mu_hat, var_hat = gaussian_sum_params(cfg.cross_mean, cfg.estimate_var,
                                           cfg.num_subcarriers)
-    scale = (1.0 + cfg.correlation ** 2) ** 2
+    scale = cfg.posterior_gain ** 2
     offset = 2.0 * cfg.num_subcarriers * cfg.posterior_var
     return scale * mu_hat + offset, scale * scale * var_hat
 

@@ -259,15 +259,12 @@ class _Workspace:
             mask = binding == j
             if not np.any(mask):
                 continue
-            for idx_n in range(n):
-                for idx_k in range(k):
-                    dist = SinrDistribution(
-                        direct_mean=float(cfg.direct_gain_means[idx_n, idx_k]),
-                        agg_mean=agg_mean, agg_var=agg_var,
-                        budget_w=float(budgets[j]),
-                        total_power_w=cfg.total_power_w,
-                        noise_w=noise, num_subcarriers=k)
-                    density[mask, idx_n, idx_k] = dist.pdf(self.gamma[mask, idx_n, idx_k])
+            dist = SinrDistribution(
+                direct_mean=cfg.direct_gain_means, agg_mean=agg_mean,
+                agg_var=agg_var, budget_w=float(budgets[j]),
+                total_power_w=cfg.total_power_w, noise_w=noise,
+                num_subcarriers=k)
+            density[mask] = dist.pdf(self.gamma[mask])
         self.density = density
         with np.errstate(divide="ignore"):
             self.inv_density = np.where(density > 1e-300, 1.0 / density, 1e300)

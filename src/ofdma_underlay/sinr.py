@@ -26,11 +26,11 @@ integrating the exponential direct gain gives the cdf
     B(G) = int_c^inf exp(-b G N) f_N(N) dN,  b = sigma^2 / (I mu_X)
 
 with c = I K / P_t the point where the power cap switches from the total
-power to the interference budget.  B is evaluated by adaptive quadrature
-(absolute tolerance 1e-8, upper limit mu_N + 10 std_N).  The pdf is the
-exact derivative of F; completing the square in B gives the three-term
-expression implemented in :meth:`SinrDistribution.pdf`, stabilized with
-the scaled complementary error function for large arguments.
+power to the interference budget.  Completing the square gives B(G) =
+exp(g0) Q(h) / Z, g0 = -b G mu_N + (b G std_N)^2 / 2, h = (c - mu_N +
+b G var_N) / std_N, Z the truncation mass; erfcx keeps exp(g0) Q(h) finite
+where Q underflows.  The pdf is the exact derivative of F.  The direct-gain
+mean may be an array, so one law serves every link of one primary.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .config import ScenarioConfig
 from .errors import ShapeError
@@ -102,9 +102,9 @@ def reference_sinr(real, cfg: ScenarioConfig, n: int, k: int, m: int) -> float:
 
 @dataclass(frozen=True)
 class SinrDistribution:
-    """Closed-form reference-SINR law for one (user, subcarrier, primary).
+    """Closed-form reference-SINR law for (user, subcarrier) links of one primary.
 
-    direct_mean     : mean of the exponential direct power gain
+    direct_mean     : mean(s) of the exponential direct power gain (array: links)
     agg_mean/agg_var: Normal moments of the aggregate cross gain
     budget_w        : instantaneous interference budget entering P_ref
     total_power_w   : transmit power budget P_t
@@ -112,7 +112,7 @@ class SinrDistribution:
     num_subcarriers : K
     """
 
-    direct_mean: float
+    direct_mean: float | np.ndarray
     agg_mean: float
     agg_var: float
     budget_w: float
@@ -121,7 +121,8 @@ class SinrDistribution:
     num_subcarriers: int
 
     def __post_init__(self):
-        if min(self.direct_mean, self.budget_w, self.total_power_w, self.noise_w) <= 0.0:
+        if min(np.min(self.direct_mean), self.budget_w, self.total_power_w,
+               self.noise_w) <= 0.0:
             raise ValueError("direct_mean, budget_w, total_power_w, noise_w must be > 0")
         if self.agg_mean <= 0.0 or self.agg_var < 0.0:
             raise ValueError("aggregate moments must satisfy mean > 0, var >= 0")
@@ -129,11 +130,11 @@ class SinrDistribution:
     # -- shared internals ---------------------------------------------------
 
     @property
-    def _a(self) -> float:
+    def _a(self):
         return self.num_subcarriers * self.noise_w / (self.total_power_w * self.direct_mean)
 
     @property
-    def _b(self) -> float:
+    def _b(self):
         return self.noise_w / (self.budget_w * self.direct_mean)
 
     @property
@@ -150,6 +151,13 @@ class SinrDistribution:
         return self._agg_std <= 1e-12 * self.agg_mean
 
     @property
+    def _point_rate(self):
+        # point-mass aggregate: the SINR is exponential with a fixed cap
+        p_ref = min(self.total_power_w / self.num_subcarriers,
+                    self.budget_w / self.agg_mean)
+        return self.noise_w / (p_ref * self.direct_mean)
+
+    @property
     def _trunc_norm(self) -> float:
         # mass of the fitted Normal above zero (renormalization constant)
         return special.ndtr(self.agg_mean / self._agg_std)
@@ -161,77 +169,17 @@ class SinrDistribution:
         hi = special.ndtr((self._cap_switch - self.agg_mean) / std)
         return (hi - lo) / self._trunc_norm
 
-    # -- public evaluators ----------------------------------------------------
-
-    def survival(self, gamma):
-        """P(reference SINR > gamma)."""
-        gamma = np.asarray(gamma, dtype=float)
-        if np.any(gamma < 0.0):
-            raise ValueError("SINR thresholds must be >= 0")
-        out = np.empty(gamma.shape)
-        flat = out.reshape(-1)
-        for i, g in enumerate(gamma.reshape(-1)):
-            flat[i] = self._survival_scalar(float(g))
-        return out if out.ndim else float(out)
-
-    def cdf(self, gamma):
-        result = 1.0 - np.asarray(self.survival(gamma))
-        return result if result.ndim else float(result)
-
-    def _survival_scalar(self, g: float) -> float:
-        if self._degenerate:
-            # point-mass aggregate: plain exponential SINR with a fixed cap
-            p_ref = min(self.total_power_w / self.num_subcarriers,
-                        self.budget_w / self.agg_mean)
-            return math.exp(-g * self.noise_w / (p_ref * self.direct_mean))
-        a_term = math.exp(-self._a * g) * self._below_switch()
-        return a_term + self._tail_integral(g)
-
-    def _tail_integral(self, g: float) -> float:
-        """B(G): quadrature over the interference-capped branch."""
-        mu, std = self.agg_mean, self._agg_std
-        lower = self._cap_switch
-        upper = mu + 10.0 * std
-        if lower >= upper:
-            return 0.0
-        b = self._b
-
-        def integrand(x):
-            z = (x - mu) / std
-            return math.exp(-b * g * x - 0.5 * z * z) / (std * _SQRT2PI)
-
-        value, _ = integrate.quad(integrand, lower, upper, epsabs=1e-8, limit=200)
-        return value / self._trunc_norm
-
-    def pdf(self, gamma):
-        """Density of the reference SINR (exact derivative of the cdf)."""
-        gamma = np.asarray(gamma, dtype=float)
-        if np.any(gamma < 0.0):
-            raise ValueError("SINR values must be >= 0")
-        if self._degenerate:
-            p_ref = min(self.total_power_w / self.num_subcarriers,
-                        self.budget_w / self.agg_mean)
-            scale = self.noise_w / (p_ref * self.direct_mean)
-            dens = scale * np.exp(-scale * gamma)
-            return dens if dens.ndim else float(dens)
-
+    def _branches(self, gamma):
+        """exp(-a G), the boundary factor exp(g0 - h^2/2) and exp(g0) Q(h)."""
         a, b = self._a, self._b
         mu, var = self.agg_mean, self.agg_var
         std = self._agg_std
         c = self._cap_switch
-        z = self._trunc_norm
-
-        # derivative of the power-capped branch
-        term1 = a * np.exp(-a * gamma) * self._below_switch()
-
-        # derivative of the interference-capped branch, square completed:
-        # exponent g0 and Gaussian argument h below; exp(g0) * Q(h) is
-        # evaluated through erfcx where Q underflows.
-        bg = b * gamma
+        ag, bg = a * gamma, b * gamma
         g0 = -bg * mu + 0.5 * (bg * std) ** 2
         h = (c - mu + bg * var) / std
         # exp(g0 - h^2/2) collapses to a bounded expression:
-        e_boundary = np.exp(-0.5 * ((c - mu) / std) ** 2 - a * gamma)
+        e_boundary = np.exp(-0.5 * ((c - mu) / std) ** 2 - ag)
         with np.errstate(over="ignore", invalid="ignore"):
             # the branch np.where discards may overflow for extreme h
             eg_q = np.where(
@@ -239,10 +187,47 @@ class SinrDistribution:
                 0.5 * e_boundary * special.erfcx(h / _SQRT2),
                 np.exp(np.minimum(g0, 0.0)) * 0.5 * special.erfc(h / _SQRT2),
             )
-        term2 = b * std * e_boundary / _SQRT2PI
-        term3 = b * (mu - bg * var) * eg_q
+        return np.exp(-ag), e_boundary, eg_q
 
-        dens = term1 + (term2 + term3) / z
+    @staticmethod
+    def _thresholds(gamma):
+        gamma = np.asarray(gamma, dtype=float)
+        if np.any(gamma < 0.0):
+            raise ValueError("SINR values must be >= 0")
+        return gamma
+
+    # -- public evaluators ----------------------------------------------------
+
+    def survival(self, gamma):
+        """P(reference SINR > gamma) = A(G) + B(G)."""
+        gamma = self._thresholds(gamma)
+        if self._degenerate:
+            out = np.exp(-self._point_rate * gamma)
+        else:
+            e_a, _, eg_q = self._branches(gamma)
+            out = e_a * self._below_switch() + eg_q / self._trunc_norm
+        return out if out.ndim else float(out)
+
+    def cdf(self, gamma):
+        result = 1.0 - np.asarray(self.survival(gamma))
+        return result if result.ndim else float(result)
+
+    def pdf(self, gamma):
+        """Density of the reference SINR (exact derivative of the cdf)."""
+        gamma = self._thresholds(gamma)
+        if self._degenerate:
+            scale = self._point_rate
+            dens = scale * np.exp(-scale * gamma)
+            return dens if dens.ndim else float(dens)
+
+        a, b = self._a, self._b
+        e_a, e_boundary, eg_q = self._branches(gamma)
+        # derivatives of the power-capped and interference-capped branches
+        term1 = a * e_a * self._below_switch()
+        term2 = b * self._agg_std * e_boundary / _SQRT2PI
+        term3 = b * (self.agg_mean - b * gamma * self.agg_var) * eg_q
+
+        dens = term1 + (term2 + term3) / self._trunc_norm
         low = float(np.min(dens)) if dens.size else 0.0
         if low < -1e-9:
             raise ValueError("pdf assembled a negative density %g; "

@@ -195,8 +195,11 @@ def test_dist_table_validation(config_file, capsys):
     assert main(["dist-table", "--config", config_file, "--points", "1"]) == 2
     assert main(["dist-table", "--config", config_file,
                  "--gamma-max", "-1"]) == 2
+    for bad in (["--gamma-max", "nan"], ["--gamma-max", "inf"],
+                ["--mc-samples", "-5"]):
+        assert main(["dist-table", "--config", config_file, *bad]) == 2
     err = capsys.readouterr().err
-    assert err.count("ERROR 2:") == 2
+    assert err.count("ERROR 2:") == 5
 
 
 def test_selftest_passes(capsys):

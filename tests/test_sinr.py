@@ -1,5 +1,6 @@
 """Closed-form reference-SINR law against Monte Carlo and moment oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -152,6 +153,57 @@ def test_degenerate_aggregate_is_plain_exponential():
     for g in (0.0, 1.0, 7.5):
         assert dist.survival(g) == pytest.approx(math.exp(-g * 0.1 / p_ref))
         assert dist.pdf(g) == pytest.approx(0.1 / p_ref * math.exp(-g * 0.1 / p_ref))
+
+
+def _quadrature_survival(dist, g):
+    """A(G) + B(G) with B integrated numerically over the standardized gain."""
+    mu, std = dist.agg_mean, math.sqrt(dist.agg_var)
+    norm = stats.norm.cdf(mu / std)
+    c = dist.budget_w * dist.num_subcarriers / dist.total_power_w
+    a = dist.num_subcarriers * dist.noise_w / (dist.total_power_w * dist.direct_mean)
+    b = dist.noise_w / (dist.budget_w * dist.direct_mean)
+    below = (stats.norm.cdf((c - mu) / std) - stats.norm.cdf(-mu / std)) / norm
+    z_lo = (c - mu) / std
+    z_peak = min(max(-b * g * std, z_lo), 40.0)
+
+    def integrand(z):
+        return math.exp(-b * g * (mu + std * z) - 0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    tail = 0.0
+    for lo, hi in ((z_lo, z_peak), (z_peak, 40.0)):
+        if hi > lo:
+            tail += integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12,
+                                   limit=200)[0]
+    return math.exp(-a * g) * below + tail / norm
+
+
+@pytest.mark.parametrize("limit_w", [5.0, 10.0, 1.0])
+def test_survival_matches_quadrature_oracle(limit_w):
+    cfg = _unit_cfg(total_power_w=30.0, interference_limit_w=(limit_w,))
+    dist = sinr_distribution(cfg, 0, 0, 0)
+    p_ref = min(30.0 / 64, limit_w / dist.agg_mean)
+    grid = np.linspace(0.0, 12.0 * p_ref / cfg.total_noise_w, 400)
+    oracle = np.array([_quadrature_survival(dist, g) for g in grid])
+    assert np.max(np.abs(dist.survival(grid) - oracle)) <= 1e-10
+
+
+def test_batched_law_equals_per_link_laws():
+    cfg = deterministic_benchmark(interference_limit_w=(2.0,))
+    agg_mean, agg_var = aggregate_gain_params(cfg, 0)
+    rng = np.random.default_rng(5)
+    gamma = rng.exponential(3.0, size=(6, cfg.num_users, cfg.num_subcarriers))
+    gamma[0] = 0.0
+    for var in (agg_var, 0.0):
+        batched = SinrDistribution(
+            direct_mean=cfg.direct_gain_means, agg_mean=agg_mean, agg_var=var,
+            budget_w=cfg.interference_limit_w[0], total_power_w=cfg.total_power_w,
+            noise_w=cfg.total_noise_w, num_subcarriers=cfg.num_subcarriers)
+        pdf, survival = batched.pdf(gamma), batched.survival(gamma)
+        for n in range(cfg.num_users):
+            for k in range(cfg.num_subcarriers):
+                link = dataclasses.replace(sinr_distribution(cfg, n, k, 0), agg_var=var)
+                assert np.array_equal(pdf[:, n, k], link.pdf(gamma[:, n, k]))
+                assert np.array_equal(survival[:, n, k], link.survival(gamma[:, n, k]))
 
 
 def test_reference_power_and_sinr_recompute():
