@@ -13,17 +13,26 @@ compared by diffing the script's output on each (see the README).
 
 Usage:
     python3 scripts/artifact_digest.py OUT_DIR [--src SRC_DIR]
+    python3 scripts/artifact_digest.py --compare OLD_DIR NEW_DIR
 
 ``--src`` is the directory that holds the ``ofdma_underlay`` package;
 it defaults to ``src/`` next to this script.  Takes about 30 s on two
-cores.
+cores.  ``--compare`` reads two such directories and, for each file
+whose bytes differ, prints the largest relative change
+|new - old| / max(|old|, |new|) of each numeric field that moved.  A
+field is a key path in JSON (list entries pooled), a column in CSV, and
+a line pattern plus the position of the number in it in other text;
+a field whose text or number of values changed reads ``changed``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import json
 import os
+import re
 import subprocess
 import sys
 
@@ -95,13 +104,91 @@ def digests(out_dir: str) -> list:
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _flatten(value, key: str, out: dict) -> None:
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _flatten(item, "%s.%s" % (key, name) if key else name, out)
+    elif isinstance(value, list):
+        for item in value:
+            _flatten(item, key + "[]", out)
+    else:
+        out.setdefault(key, []).append(value)
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def fields(path: str) -> dict:
+    """Map each field of an artifact to its values in file order."""
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        if path.endswith(".json"):
+            _flatten(json.load(fh), "", out)
+        elif path.endswith(".csv"):
+            for row in csv.DictReader(fh):
+                for name, cell in row.items():
+                    out.setdefault(name, []).append(_number(cell))
+        else:
+            for line in fh:
+                pattern = NUMBER.sub("#", line.rstrip("\n"))
+                out.setdefault(pattern, [])
+                for pos, text in enumerate(NUMBER.findall(line)):
+                    out.setdefault("%s  [%d]" % (pattern, pos), []).append(float(text))
+    return out
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare(old_dir: str, new_dir: str) -> list:
+    """Report lines for every file that differs between two artifact dirs."""
+    old_files = {line.split("  ", 1)[1]: line for line in digests(old_dir)}
+    new_files = {line.split("  ", 1)[1]: line for line in digests(new_dir)}
+    lines = []
+    for name in sorted(set(old_files) | set(new_files)):
+        if old_files.get(name) == new_files.get(name):
+            continue
+        if name not in old_files or name not in new_files:
+            lines.append("%s: only in %s" % (name, "new" if name in new_files else "old"))
+            continue
+        lines.append(name)
+        old, new = fields(os.path.join(old_dir, name)), fields(os.path.join(new_dir, name))
+        for key in sorted(set(old) | set(new)):
+            a, b = old.get(key), new.get(key)
+            if a == b:
+                continue
+            pairs = list(zip(a, b)) if a is not None and b is not None else []
+            if not pairs or len(a) != len(b) or not all(
+                    _is_number(x) and _is_number(y) for x, y in pairs):
+                lines.append("  %-60s changed" % key)
+                continue
+            worst = max(abs(y - x) / max(abs(x), abs(y)) for x, y in pairs if x != y)
+            lines.append("  %-60s %.3g" % (key, worst))
+    return lines
+
+
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir", help="directory for the artifacts (created)")
+    parser.add_argument("out_dir", nargs="?", help="directory for the artifacts (created)")
     parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
                         help="directory holding the ofdma_underlay package")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
+                        help="print the numeric changes between two artifact dirs")
     args = parser.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return 0
+    if args.out_dir is None:
+        parser.error("give OUT_DIR or --compare OLD_DIR NEW_DIR")
     out_dir = os.path.abspath(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     run_matrix(out_dir, os.path.abspath(args.src))

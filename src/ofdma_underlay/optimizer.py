@@ -15,17 +15,18 @@ maximizing the selection metric
 
     Lambda = f * [ x / (ln2 (1 + x)) + log2(1 + x) ],  x = slope gamma P* / P_ref,
 
-ties to the lowest user index.  ``eta`` is found by exponential
-bracketing plus bisection until the realized budget use is tight to 1e-6
-relative (or zero if slack); ``mu`` follows a projected subgradient with
-step 1 / (P_t (10 + t)), stopping when the average-power gap is within
-tolerance or the multiplier sits at zero with slack power.
+ties to the lowest user index.  ``eta`` is found by a bracketed log-log
+root search (:func:`_find_root`), warm-started from the last multipliers,
+until the realized budget use is tight to 1e-6 relative (or zero if
+slack); ``mu`` follows a projected subgradient with step 1 / (P_t (10 + t)),
+stopping when the average-power gap is within tolerance or the
+multiplier sits at zero with slack power.
 
-The average power used is continuous and decreasing in mu, so mu is
-initialized by bisecting that gap before the subgradient loop starts.
-The diminishing 1/t steps then hold the iterate at the fixed point; from
-a badly scaled start they would need thousands of iterations to close a
-watt-sized gap, which the iteration cap treats as failure.
+The average power used is continuous and decreasing in mu, so the same
+root search on that gap initializes mu.  The diminishing 1/t steps then
+hold the iterate at the fixed point; from a badly scaled start they would
+need thousands of iterations to close a watt-sized gap, which the
+iteration cap treats as failure.
 
 In deterministic mode the interference weights are the squared cross
 links the transmitter knows (true under perfect CSI, estimates
@@ -40,6 +41,7 @@ constellation to the allowed bit loads after the continuous solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -67,8 +69,9 @@ __all__ = [
     "solve_dual",
 ]
 
-_ETA_DOUBLINGS = 60
-_BISECT_STEPS = 90
+_ETA_DOUBLINGS = 60     # trials that may double a root's bracket
+_BISECT_STEPS = 90      # further trials that may narrow it
+_SECANT_STREAK = 3      # secant steps keeping one bracket end before a bisection
 _TIGHT_REL = 1e-6
 
 
@@ -187,13 +190,19 @@ class PolicyBatch:
 
 @dataclass
 class DualState:
-    """Multipliers and iteration trace of one solve."""
+    """Multipliers, iteration trace and work counts of one solve.
+
+    The work counts are full passes (``_allocate`` state-evaluations / S)
+    in the warm start and in the outer iterations: hardware-independent.
+    """
 
     mu: float
     eta: np.ndarray                 # (S, M)
     iterations: int
     converged: bool
     trace: dict = field(default_factory=dict)
+    warm_start_passes: float = 0.0
+    iteration_passes: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -221,7 +230,7 @@ class _Workspace:
     """Per-solve precomputed arrays shared by every dual iteration."""
 
     __slots__ = ("cfg", "policy", "count", "gamma", "density", "inv_density",
-                 "pcut", "weights", "budgets", "p_ref", "streams")
+                 "pcut", "weights", "budgets", "p_ref", "streams", "evaluated")
 
     def __init__(self, cfg: ScenarioConfig, batch: BatchRealizations):
         self.cfg = cfg
@@ -230,6 +239,7 @@ class _Workspace:
         n, m, k = cfg.num_users, cfg.num_primaries, cfg.num_subcarriers
         self.count = s
         self.streams = np.asarray(batch.streams)
+        self.evaluated = 0          # state-evaluations of _allocate so far
 
         if cfg.constraint_mode == "probabilistic":
             weights = alpha_weights(posterior_stats(cfg, batch.cross_est))  # (S, M, K)
@@ -274,6 +284,11 @@ class _Workspace:
         return (self.gamma[idx], self.inv_density[idx], self.density[idx],
                 self.pcut[idx], self.weights[idx])
 
+    def allocate(self, mu, eta, arrays):
+        """:func:`_allocate` on ``subset`` arrays, counted in ``evaluated``."""
+        self.evaluated += eta.shape[0]
+        return _allocate(mu, eta, *arrays)
+
 
 def _allocate(mu, eta, gamma, inv_density, density, pcut, weights):
     """Evaluate the stationary allocation for per-state multipliers.
@@ -301,140 +316,137 @@ def _allocate(mu, eta, gamma, inv_density, density, pcut, weights):
 
 def _solve_states(ws: _Workspace, mu: float, eta_start: np.ndarray):
     """Per-state inner problem: allocation plus tight interference multipliers."""
-    s, m_count = ws.count, ws.cfg.num_primaries
-    eta = np.zeros((s, m_count))
-    arrays = ws.subset(slice(None))
-    winner, p_sel, x_sel, interf = _allocate(mu, eta, *arrays)
-
-    tol_hi = ws.budgets * (1.0 + _TIGHT_REL)
-    bad = np.any(interf > tol_hi, axis=1)
+    eta = np.zeros((ws.count, ws.cfg.num_primaries))
+    alloc = ws.allocate(mu, eta, ws.subset(slice(None)))
+    bad = np.any(alloc[3] > ws.budgets * (1.0 + _TIGHT_REL), axis=1)
     if np.any(bad):
         idx = np.nonzero(bad)[0]
-        sub = ws.subset(idx)
-        eta_sub = _tighten(ws, mu, sub, ws.budgets, eta_start[idx])
-        w_sub, p_sub, x_sub, i_sub = _allocate(mu, eta_sub, *sub)
-        eta[idx] = eta_sub
-        winner[idx] = w_sub
-        p_sel[idx] = p_sub
-        x_sel[idx] = x_sub
-        interf[idx] = i_sub
-    return winner, p_sel, x_sel, interf, eta
+        eta[idx], tight = _tighten(ws, mu, idx, eta_start[idx], alloc[3][idx])
+        for full, part in zip(alloc, tight):
+            full[idx] = part
+    return (*alloc, eta)
 
 
-def _tighten(ws: _Workspace, mu: float, sub, budgets: np.ndarray,
-             eta_hint: np.ndarray) -> np.ndarray:
-    """Bracket and bisect the interference multipliers of violating states.
+def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray,
+             interf0: np.ndarray):
+    """Multipliers of the violating states ``idx``, and the allocation at them.
 
-    With a single primary this is exact bisection on a scalar; with
-    several it sweeps the primaries cyclically, re-tightening until every
-    budget holds (raising any multiplier only lowers all interference
-    terms, so the sweep terminates).
+    ``interf0`` is their interference at eta = 0.  With one primary this
+    is one root search per state; with several the primaries are swept
+    cyclically until every budget holds (raising any multiplier only
+    lowers all interference terms, so the sweep terminates).
     """
-    s = sub[0].shape[0]
-    m_count = budgets.size
-    eta = np.zeros((s, m_count))
-    sweeps = 1 if m_count == 1 else 8
-    for _ in range(sweeps):
-        for j in range(m_count):
-            eta = _bisect_primary(ws, mu, sub, budgets, eta, j, eta_hint[:, j])
-        _, _, _, interf = _allocate(mu, eta, *sub)
-        if np.all(interf <= budgets * (1.0 + _TIGHT_REL)):
-            return eta
-    raise InfeasibleError("interference budgets remain violated after "
-                          "cyclic multiplier tightening")
+    sub = ws.subset(idx)
+    budgets = ws.budgets
+    eta = np.zeros((idx.size, budgets.size))
 
-
-def _bisect_primary(ws, mu, sub, budgets, eta, j, hint):
-    """Tighten eta[:, j] so primary j's budget holds with near-tightness."""
-    s = eta.shape[0]
-    budget = budgets[j]
-
-    def interference_j(eta_j):
-        trial = eta.copy()
+    def interference(j, eta_j, rows):
+        trial = eta.copy() if rows is None else eta[rows]
         trial[:, j] = eta_j
-        _, _, _, interf = _allocate(mu, trial, *sub)
-        return interf[:, j], trial
+        arrays = sub if rows is None else tuple(a[rows] for a in sub)
+        return ws.allocate(mu, trial, arrays)[3][:, j]
 
-    interf0, _ = interference_j(np.zeros(s))
-    needs = interf0 > budget * (1.0 + _TIGHT_REL)
-    if not np.any(needs):
-        eta[:, j] = 0.0
-        return eta
+    for sweep in range(1 if budgets.size == 1 else 8):
+        for j, budget in enumerate(budgets):
+            at_zero = interf0[:, j] if sweep == j == 0 else interference(j, 0.0, None)
+            hint = np.where(eta[:, j] > 0.0, eta[:, j], eta_hint[:, j])
+            eta[:, j] = _find_root(
+                functools.partial(interference, j), np.where(hint > 0.0, hint, 1.0),
+                budget * (1.0 - _TIGHT_REL), budget,
+                at_zero > budget * (1.0 + _TIGHT_REL), InfeasibleError,
+                lambda row: "no finite multiplier meets primary %d's budget at "
+                "state %d (stream %d)" % (j, idx[row], ws.streams[idx[row]]))
+        alloc = ws.allocate(mu, eta, sub)
+        over = alloc[3] > budgets * (1.0 + _TIGHT_REL)
+        if not np.any(over):
+            return eta, alloc
+    row, j = np.argwhere(over)[0]
+    raise InfeasibleError(
+        "interference budgets remain violated after cyclic multiplier "
+        "tightening: state %d (stream %d), primary %d at %.6g W of %g W"
+        % (idx[row], ws.streams[idx[row]], j, alloc[3][row, j], budgets[j]))
 
-    # exponential bracket, warm-started from the previous outer iteration
-    hi = np.where(hint > 0.0, hint, 1.0)
-    lo = np.zeros(s)
-    for _ in range(_ETA_DOUBLINGS):
-        interf, _ = interference_j(np.where(needs, hi, 0.0))
-        feasible = interf <= budget
-        if np.all(feasible | ~needs):
+
+def _find_root(evaluate, start, y_lo, y_hi, active, error, where):
+    """Per-row x > 0 with y(x) in [y_lo, y_hi], for a y that falls with x.
+
+    ``evaluate(x, rows)`` gives y at x for the listed rows, or all rows
+    when ``rows`` is None.  Rows flagged ``active`` need y(0) > y_hi; the
+    rest return 0.  A row tries ``start``, doubles or halves it until y
+    crosses y_hi, then narrows the bracket by Illinois regula falsi in
+    (log x, log y), as y decays roughly as a power of x; after
+    _SECANT_STREAK steps keeping one end it bisects, which bounds the cost
+    of a jump in y.  It returns the least feasible x (y <= y_hi) once y is
+    in the window or the bracket is 1e-12 wide.  ``error`` names
+    ``where(row)`` and the bracket when _ETA_DOUBLINGS trials stay above.
+    """
+    log_aim = math.log(0.5 * (y_lo + y_hi))
+    active = active.copy()
+    x = np.where(active, start, 0.0)
+    # bracket ends, log(y / aim) at each (Illinois-scaled), and the streak:
+    # +n when hi was replaced n times running, -n for lo
+    lo, hi, v_lo, v_hi, run = np.zeros((5, active.size))
+    hi[active] = np.inf
+    for _ in range(_ETA_DOUBLINGS + _BISECT_STEPS):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
-        grow = needs & ~feasible
-        lo = np.where(grow, hi, lo)
-        hi = np.where(grow, hi * 2.0, hi)
-    else:
-        raise InfeasibleError(
-            "no finite multiplier meets primary %d's budget of %g W" % (j, budget))
+        xr, lo_r, hi_r, vl, vh, n = (a[rows] for a in (x, lo, hi, v_lo, v_hi, run))
+        if 2 * rows.size <= active.size:        # a gather copies the arrays
+            y = evaluate(xr, rows)
+        else:
+            y = evaluate(np.where(active, x, hi), None)[rows]
+        feas = y <= y_hi
+        with np.errstate(divide="ignore"):
+            v = np.log(y) - log_aim
+        vl = np.where(feas & (n > 0), 0.5 * vl, vl)
+        vh = np.where(~feas & (n < 0), 0.5 * vh, vh)
+        n = np.where(feas, np.maximum(n, 0) + 1, np.minimum(n, 0) - 1)
+        n = np.where((lo_r > 0.0) & (hi_r < np.inf), n, 0)
+        hi_r, vh = np.where(feas, xr, hi_r), np.where(feas, v, vh)
+        lo_r, vl = np.where(feas, lo_r, xr), np.where(feas, vl, v)
+        lo[rows], hi[rows], v_lo[rows], v_hi[rows], run[rows] = lo_r, hi_r, vl, vh, n
 
-    # lo is 0 (infeasible by `needs`) or a hi that failed during doubling,
-    # so [lo, hi] always brackets the root
-    tight_lo = budget * (1.0 - _TIGHT_REL)
-    active = needs.copy()
-    result = np.where(needs, hi, 0.0)
-    for _ in range(_BISECT_STEPS):
-        if not np.any(active):
-            break
-        mid = np.where(active, 0.5 * (lo + hi), result)
-        interf, _ = interference_j(mid)
-        feas = interf <= budget
-        hi = np.where(active & feas, mid, hi)
-        lo = np.where(active & ~feas, mid, lo)
-        result = np.where(active, hi, result)
-        done = active & feas & (interf >= tight_lo)
-        done |= active & ((hi - lo) <= 1e-12 * np.maximum(hi, 1.0))
-        active &= ~done
-    eta[:, j] = result
-    return eta
+        narrow = (hi_r < np.inf) & (hi_r - lo_r <= 1e-12 * np.maximum(hi_r, 1.0))
+        active[rows[(feas & (y >= y_lo)) | narrow]] = False
+        stuck = lo_r >= start[rows] * 2.0 ** (_ETA_DOUBLINGS - 1)   # last doubling failed
+        if np.any(stuck):
+            pos = int(np.argmax(stuck))
+            raise error("%s: %.6g > %.6g after %d trials; final bracket "
+                        "[%.6g, inf)" % (where(rows[pos]), y[pos], y_hi,
+                                         _ETA_DOUBLINGS, lo_r[pos]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_lo, u_hi = np.log(lo_r), np.log(hi_r)
+            secant = u_hi - vh * (u_hi - u_lo) / (vh - vl)
+            use = (secant > u_lo) & (secant < u_hi) & (np.abs(n) < _SECANT_STREAK)
+            step = np.exp(np.where(use, secant, 0.5 * (u_lo + u_hi)))
+        x[rows] = np.where(hi_r == np.inf, 2.0 * lo_r,
+                           np.where(lo_r == 0.0, 0.5 * hi_r, step))
+    return hi
 
 
 def _warm_start_mu(ws: _Workspace, tol_w: float):
-    """Initialize the power multiplier by bisecting the power gap.
+    """Initialize the power multiplier by a root search on the power gap.
 
-    Returns (mu0, eta0) with |avg power - P_t| <= tol_w at mu0, or mu0 = 0
-    when the interference budgets alone keep the power below target.  The
-    carried eta warm-starts each evaluation's inner brackets.
+    Returns (mu0, eta) with |avg power - P_t| <= tol_w at mu0 (or mu0 on
+    the feasible side of a jump across that window), or mu0 = 0 when the
+    interference budgets alone keep the power below target.  eta, from
+    the last evaluation, warm-starts the next inner root searches.
     """
     p_t = ws.cfg.total_power_w
     eta = np.zeros((ws.count, ws.cfg.num_primaries))
 
-    def gap_at(mu):
+    def power_at(mu, rows):
         nonlocal eta
-        _, p_sel, _, _, eta = _solve_states(ws, mu, eta)
-        return float(np.mean(np.sum(p_sel, axis=1))) - p_t
+        _, p_sel, _, _, eta = _solve_states(ws, float(mu[0]), eta)
+        return np.array([np.mean(np.sum(p_sel, axis=1))])
 
-    if gap_at(0.0) <= 0.0:
+    if power_at(np.zeros(1), None)[0] <= p_t:
         return 0.0, eta
-    lo = 0.0
-    hi = ws.cfg.num_subcarriers / (p_t * LN2)
-    for _ in range(_ETA_DOUBLINGS):
-        if gap_at(hi) <= 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise ConvergenceError("cannot bracket the power multiplier: average "
-                               "power exceeds the budget at mu = %g" % hi)
-    mid = hi
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        gap = gap_at(mid)
-        if abs(gap) <= tol_w:
-            return mid, eta
-        if gap > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    gap_at(hi)
-    return hi, eta            # feasible side when the gap jumps across zero
+    mu = _find_root(power_at, np.array([ws.cfg.num_subcarriers / (p_t * LN2)]),
+                    p_t - tol_w, p_t + tol_w, np.ones(1, dtype=bool), ConvergenceError,
+                    lambda row: "cannot bracket the power multiplier: average power")
+    return float(mu[0]), eta
 
 
 def _dual_bound(ws: _Workspace, mu: float, eta: np.ndarray) -> float:
@@ -500,15 +512,11 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
     p_t = cfg.total_power_w
 
     mu, eta = _warm_start_mu(ws, 0.5 * power_gap_tol * p_t)
+    warm_evaluated = ws.evaluated
     trace = {"iter": [], "mu": [], "primal_ase": [], "dual_value": [],
              "power_gap": []}
-    converged = False
-    winner = p_sel = x_sel = interf = None
-    iterations = 0
-
     for t in range(1, max_iterations + 1):
         winner, p_sel, x_sel, interf, eta = _solve_states(ws, mu, eta)
-        iterations = t
         avg_power = float(np.mean(np.sum(p_sel, axis=1)))
         gap = avg_power - p_t
         primal = float(np.mean(np.sum(np.log1p(x_sel), axis=1))) / LN2
@@ -521,18 +529,15 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
 
         stop = abs(gap) <= power_gap_tol * p_t or (mu == 0.0 and gap <= 0.0)
         if stop and not run_all_iterations:
-            converged = True
             break
         mu = max(mu + gap / (p_t * (10.0 + t)), 0.0)
-
-    if run_all_iterations:
-        gap = trace["power_gap"][-1]
-        converged = abs(gap) <= power_gap_tol * p_t or \
-            (trace["mu"][-1] == 0.0 and gap <= 0.0)
+    converged = stop
 
     dual_state = DualState(
-        mu=trace["mu"][-1], eta=eta, iterations=iterations, converged=converged,
-        trace={key: np.asarray(val) for key, val in trace.items()})
+        mu=trace["mu"][-1], eta=eta, iterations=t, converged=converged,
+        trace={key: np.asarray(val) for key, val in trace.items()},
+        warm_start_passes=warm_evaluated / s,
+        iteration_passes=(ws.evaluated - warm_evaluated) / s)
 
     bits = None
     if cfg.rate_mode == "discrete":
@@ -553,6 +558,6 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
     if not converged and not run_all_iterations:
         raise ConvergenceError(
             "power gap %.3g W after %d iterations exceeds tolerance %.3g W"
-            % (trace["power_gap"][-1], iterations, power_gap_tol * p_t),
+            % (trace["power_gap"][-1], t, power_gap_tol * p_t),
             result=result)
     return result

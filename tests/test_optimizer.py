@@ -1,12 +1,14 @@
 """Water-filling, assignment and dual-solve oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
 import ofdma_underlay.optimizer as optimizer_module
 from ofdma_underlay.channel import sample_realization, sample_realizations
 from ofdma_underlay.config import build_config
-from ofdma_underlay.errors import ConvergenceError, ShapeError
+from ofdma_underlay.errors import ConvergenceError, InfeasibleError, ShapeError
 from ofdma_underlay.interference import audit_deterministic, surrogate_budget
 from ofdma_underlay.modulation import ALLOWED_BITS, LN2, ber_slope
 from ofdma_underlay.optimizer import (
@@ -19,7 +21,7 @@ from ofdma_underlay.optimizer import (
     solve_dual,
     waterfill_power,
 )
-from ofdma_underlay.presets import imperfect_benchmark
+from ofdma_underlay.presets import deterministic_benchmark, imperfect_benchmark
 from ofdma_underlay.sinr import sinr_distribution
 
 
@@ -414,3 +416,125 @@ def test_policy_batch_state_densifies_one_state():
     losers = policy.phi == 0.0
     assert np.all(policy.power[losers] == 0.0)
     assert np.all(policy.constellation[losers] == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# root search and work counters
+
+
+def _falling(scale, offset=0.05):
+    """y = scale x^-1.5 + offset / x per row: falls with x, not a pure power."""
+    def evaluate(x, rows):
+        c = scale if rows is None else scale[rows]
+        return c * x ** -1.5 + offset / x
+    return evaluate
+
+
+def _root(evaluate, start, active=None, error=InfeasibleError, y_hi=1.0):
+    start = np.asarray(start, dtype=float)
+    active = np.ones(start.size, dtype=bool) if active is None else active
+    return optimizer_module._find_root(evaluate, start, y_hi * (1.0 - 1e-6), y_hi,
+                                       active, error, lambda row: "row %d" % row)
+
+
+def test_find_root_from_hints_above_and_below_the_root():
+    scale = np.array([1.0, 40.0, 0.02, 3.0])
+    trials = []
+
+    def evaluate(x, rows):
+        trials.append((x.copy(), rows))
+        return _falling(scale)(x, rows)
+
+    start = np.array([1.0, 1.0, 1.0, 50.0])    # below, below, above, above
+    x = _root(evaluate, start)
+    y = _falling(scale)(x, None)
+    assert np.all((y <= 1.0) & (y >= 1.0 - 1e-6))
+    assert np.array_equal(trials[0][0], start) and trials[0][1] is None
+    assert x[1] > 1.0 and x[2] < 1.0 and x[3] < 50.0
+    # a hint already in the window costs one evaluation
+    trials.clear()
+    assert np.array_equal(_root(evaluate, x), x)
+    assert len(trials) == 1
+
+
+def test_find_root_far_below_the_hint():
+    # a tiny budget's root sits 60 halvings below the first trial
+    x = _root(_falling(np.array([1e-9]), offset=0.0), [1e12])
+    y = 1e-9 * x ** -1.5
+    assert 1.0 - 1e-6 <= y[0] <= 1.0
+    assert x[0] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_find_root_leaves_inactive_rows_at_zero():
+    with np.errstate(divide="ignore"):      # inactive rows are evaluated at 0
+        x = _root(_falling(np.array([1.0, 40.0, 3.0])), np.ones(3),
+                  active=np.array([True, False, True]))
+    assert x[1] == 0.0 and x[0] > 0.0 and x[2] > 0.0
+
+
+def test_find_root_keeps_no_state_between_calls():
+    # a search run inside another's evaluations must not disturb either
+    scale_a, scale_b = np.array([1.0, 40.0]), np.array([0.3, 7.0, 2.0, 0.01])
+    alone_a = _root(_falling(scale_a), np.ones(2))
+    alone_b = _root(_falling(scale_b), np.full(4, 3.0), y_hi=2.0)
+    module_state = dict(vars(optimizer_module))
+    inner = []
+
+    def nested(x, rows):
+        inner.append(_root(_falling(scale_a), np.ones(2)))
+        return _falling(scale_b)(x, rows)
+
+    assert np.array_equal(_root(nested, np.full(4, 3.0), y_hi=2.0), alone_b)
+    assert len(inner) > 1 and all(np.array_equal(r, alone_a) for r in inner)
+    assert vars(optimizer_module) == module_state
+
+
+def test_find_root_error_names_row_and_bracket():
+    def never_feasible(x, rows):
+        return np.full(x.shape, 5.0)
+
+    with pytest.raises(ConvergenceError, match=r"row 1: 5 > 1 after 60 trials; "
+                       r"final bracket \[5\.76461e\+17, inf\)"):
+        _root(never_feasible, np.ones(3), active=np.array([False, True, False]),
+              error=ConvergenceError)
+
+
+def test_unbracketed_multiplier_names_state_stream_and_primary(monkeypatch):
+    monkeypatch.setattr(optimizer_module, "_ETA_DOUBLINGS", 3)
+    cfg = _cfg(interference_limit_w="1e-9", total_power_w=0.8)
+    batch = sample_realizations(cfg, [4, 9, 13])
+    with pytest.raises(InfeasibleError) as excinfo:
+        solve_dual(cfg, batch)
+    found = re.search(r"primary 0's budget at state (\d) \(stream (\d+)\): .* "
+                      r"after 3 trials; final bracket \[4, inf\)", str(excinfo.value))
+    assert found, str(excinfo.value)
+    assert batch.streams[int(found.group(1))] == int(found.group(2))
+
+
+def test_cold_start_and_carried_hint_agree():
+    cfg = deterministic_benchmark(rng_seed=6, interference_limit_w=(2.0,))
+    batch = sample_realizations(cfg, range(60))
+    ws = optimizer_module._Workspace(cfg, batch)
+    cold = optimizer_module._solve_states(ws, 0.5, np.zeros((60, 1)))
+    assert np.sum(cold[4] > 0.0) >= 50
+    for factor in (1.3, 0.6, 1e6):
+        warm = optimizer_module._solve_states(ws, 0.5, factor * cold[4])
+        assert np.array_equal(warm[4] > 0.0, cold[4] > 0.0)
+        assert np.all(np.abs(warm[3] - cold[3]) <= 1e-6 * ws.budgets)
+        # a winner switch inside the tightness window admits several roots
+        same = np.all(warm[0] == cold[0], axis=1)
+        assert np.sum(same) >= 58
+        assert np.allclose(warm[4][same], cold[4][same], rtol=1e-6, atol=0.0)
+        rates = [np.sum(np.log1p(alloc[2][same]), axis=1) for alloc in (cold, warm)]
+        assert np.allclose(rates[1], rates[0], rtol=1e-6, atol=0.0)
+
+
+def test_full_passes_at_a_binding_cap():
+    cfg = deterministic_benchmark(rng_seed=6, interference_limit_w=(2.0,))
+    result = solve_dual(cfg, num_states=60)
+    dual = result.dual
+    assert dual.iterations == 1
+    # exponential bracketing plus bisection spends 358 + 34 = 392 here
+    assert dual.warm_start_passes + dual.iteration_passes <= 392 / 3
+    assert 1.0 < dual.iteration_passes <= 3.0
+    assert set(dual.trace) == {"iter", "mu", "primal_ase", "dual_value", "power_gap"}
