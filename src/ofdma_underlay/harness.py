@@ -6,9 +6,12 @@ interference with the true cross gains in every mode, plus per-state
 collision probabilities (a two-moment scaled chi-square fit of the
 weighted sum over the loaded subcarriers everywhere, posterior
 resampling on the states that fit ranks worst) when the constraint is
-probabilistic.  Sweeps rerun the experiment along one scenario axis and
-serialize rows to a fixed-header CSV with a JSON sidecar.  All artifacts
-are deterministic for a given config and seed: stable float formatting,
+probabilistic.  The resampling redraws only the loaded cross links: an
+unloaded one adds exactly 0 to the interference, so the estimate has
+the law of a redraw of all K links at L/K of the normals (L loaded).
+Sweeps rerun the experiment along one scenario axis and serialize rows
+to a fixed-header CSV with a JSON sidecar.  All artifacts are
+deterministic for a given config and seed: stable float formatting,
 sorted keys, no timestamps.
 """
 
@@ -156,10 +159,14 @@ def _collision_analytic(cfg: ScenarioConfig, batch, power_sel: np.ndarray):
 
 def _collision_mc(cfg: ScenarioConfig, batch, power_sel: np.ndarray,
                   state_indices, samples: int):
-    """Posterior-resampled collision frequency on a subsample of states."""
+    """Posterior-resampled collision frequency on a subsample of states.
+
+    Returns each primary's worst rate and the largest of the stderrs taken
+    at those worst states.
+    """
     limits = np.asarray(cfg.interference_limit_w)
     worst = np.zeros(cfg.num_primaries)
-    worst_stderr = 0.0
+    worst_stderr = np.zeros(cfg.num_primaries)
     for s in state_indices:
         rng = np.random.default_rng(np.random.SeedSequence(
             (cfg.rng_seed, _AUDIT_TAG, int(batch.streams[s]))))
@@ -168,9 +175,8 @@ def _collision_mc(cfg: ScenarioConfig, batch, power_sel: np.ndarray,
         stderr = np.sqrt(np.maximum(prob * (1.0 - prob), 1.0 / samples) / samples)
         pick = prob > worst
         worst = np.where(pick, prob, worst)
-        if np.any(pick):
-            worst_stderr = float(np.max(stderr[pick]))
-    return worst, worst_stderr
+        worst_stderr = np.where(pick, stderr, worst_stderr)
+    return worst, float(np.max(worst_stderr))
 
 
 def run_experiment(cfg: ScenarioConfig, num_states: int, *,

@@ -204,9 +204,13 @@ def enforced_budgets(cfg: ScenarioConfig) -> np.ndarray:
 def _posterior_collisions(rng, post: PosteriorCrossStats, power, limits, samples: int):
     """Fraction of posterior redraws of the (M, K) cross links above each limit.
 
+    Only the loaded links (P_k > 0) are redrawn: an unloaded link adds
+    exactly 0 to sum_k P_k |H_k|^2, so leaving it out changes no hit.
     Draws in blocks of 4096 redraws: a block's real parts, then its imaginary parts.
     """
-    mean, std = post.mean, math.sqrt(post.variance)
+    loaded = power > 0.0
+    mean, power = post.mean[:, loaded], power[loaded]
+    std = math.sqrt(post.variance)
     hits = np.zeros(mean.shape[0])
     done = 0
     while done < samples:
@@ -222,9 +226,11 @@ def audit_probabilistic(alloc, post: PosteriorCrossStats, cfg: ScenarioConfig,
                         samples: int = 100_000, seed: int | None = None) -> CollisionAudit:
     """Monte Carlo exceedance probability of an allocation under the posterior.
 
-    Redraws the true cross links from the posterior ``samples`` times,
-    recomputes the received interference, and returns the fraction above
-    each primary's limit together with its binomial standard error.
+    Redraws the true cross links of the loaded subcarriers from the
+    posterior ``samples`` times (an unloaded link adds exactly 0 to the
+    interference, so it is not drawn), recomputes the received
+    interference, and returns the fraction above each primary's limit
+    together with its binomial standard error.
     """
     if samples < 10_000:
         raise ValueError("need >= 1e4 samples for a usable exceedance estimate")

@@ -14,6 +14,7 @@ from ofdma_underlay.harness import (
     SWEEP_HEADER,
     TRACE_HEADER,
     _collision_analytic,
+    _collision_mc,
     format_float,
     plateau_flags,
     run_experiment,
@@ -167,6 +168,20 @@ def test_collision_analytic_tracks_posterior_resampling():
     audit = audit_probabilistic(policy, post, cfg, samples=100_000, seed=7)
     assert 0.05 < audit.collision_prob[0] < 0.5
     assert abs(analytic - audit.collision_prob[0]) <= 3.0 * audit.stderr[0]
+
+
+def test_collision_mc_stderr_belongs_to_a_worst_state(monkeypatch):
+    cfg = _small_imperfect(num_primaries=2, interference_limit_w=(4.0, 6.0),
+                           collision_limit=(0.05, 0.2))
+    batch = sample_realizations(cfg, range(2))
+    rates = iter([np.array([0.1, 0.0]), np.array([0.0, 0.05])])
+    monkeypatch.setattr("ofdma_underlay.harness._posterior_collisions",
+                        lambda *args: next(rates))
+    samples = 20_000
+    worst, stderr = _collision_mc(cfg, batch, np.zeros((2, cfg.num_subcarriers)),
+                                  [0, 1], samples)
+    np.testing.assert_array_equal(worst, [0.1, 0.05])
+    assert stderr == math.sqrt(0.1 * 0.9 / samples)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from scipy import stats
 from ofdma_underlay.channel import (PosteriorCrossStats, posterior_stats,
                                     sample_realization)
 from ofdma_underlay.errors import ShapeError
-from ofdma_underlay.interference import (alpha_weights, audit_deterministic,
+from ofdma_underlay.interference import (_posterior_collisions, alpha_weights,
+                                         audit_deterministic,
                                          audit_probabilistic,
                                          central_tail_approx,
                                          collision_audit_csv, composite_chisq,
@@ -268,6 +269,73 @@ def test_probabilistic_audit_reproducible():
     one = audit_probabilistic(alloc, post, cfg, samples=20_000)
     two = audit_probabilistic(alloc, post, cfg, samples=20_000)
     np.testing.assert_array_equal(one.collision_prob, two.collision_prob)
+
+
+class _CountingRng:
+    """A generator that counts the normals it hands out."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.normals = 0
+
+    def standard_normal(self, size):
+        self.normals += int(np.prod(size))
+        return self.rng.standard_normal(size)
+
+
+def _spread_posterior(m, k, variance=0.75):
+    rng = np.random.default_rng(0)
+    mean = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    return PosteriorCrossStats(mean=mean, variance=variance)
+
+
+def test_posterior_collisions_ignore_unloaded_links():
+    post = _spread_posterior(2, 16)
+    power = np.zeros(16)
+    power[[2, 9, 10]] = [0.8, 1.5, 0.4]
+    limits = np.array([3.0, 5.0])
+    moved = post.mean.copy()
+    moved[:, [0, 5, 15]] += 7.0 - 3.0j
+    one = _posterior_collisions(np.random.default_rng(4), post, power, limits,
+                                20_000)
+    two = _posterior_collisions(np.random.default_rng(4),
+                                PosteriorCrossStats(moved, post.variance),
+                                power, limits, 20_000)
+    kept = [2, 9, 10]
+    three = _posterior_collisions(np.random.default_rng(4),
+                                  PosteriorCrossStats(post.mean[:, kept],
+                                                      post.variance),
+                                  power[kept], limits, 20_000)
+    assert 0.0 < one[0] < 1.0 and 0.0 < one[1] < 1.0
+    assert one.tobytes() == two.tobytes() == three.tobytes()
+
+
+def test_posterior_collisions_one_loaded_link_is_ncx2():
+    cfg = imperfect_benchmark()
+    k = cfg.num_subcarriers
+    post = _spread_posterior(1, k, cfg.posterior_var)
+    phi = np.zeros((cfg.num_users, k))
+    phi[1, 17] = 1.0
+    alloc = _alloc(phi, phi * 3.0)
+    audit = audit_probabilistic(alloc, post, cfg, samples=100_000, seed=3)
+    exact = stats.ncx2.sf(cfg.interference_limit_w[0]
+                          / (3.0 * cfg.posterior_var), 2,
+                          xi_means(post)[0, 17])
+    assert 0.05 < exact < 0.95
+    assert abs(audit.collision_prob[0] - exact) <= 3.0 * audit.stderr[0]
+
+
+@pytest.mark.parametrize("loaded", [[], [6], [0, 3, 11, 63]])
+def test_posterior_collisions_draw_only_loaded_links(loaded):
+    post = _spread_posterior(2, 64)
+    power = np.zeros(64)
+    power[loaded] = 0.5
+    samples = 10_000                     # two full blocks and a partial one
+    rng = _CountingRng(1)
+    prob = _posterior_collisions(rng, post, power, np.array([1.0, 2.0]), samples)
+    assert rng.normals == 2 * samples * 2 * len(loaded)
+    if not loaded:
+        np.testing.assert_array_equal(prob, [0.0, 0.0])
 
 
 def test_audit_csv_headers():
