@@ -22,11 +22,12 @@ slack); ``mu`` follows a projected subgradient with step 1 / (P_t (10 + t)),
 stopping when the average-power gap is within tolerance or the
 multiplier sits at zero with slack power.
 
-The average power used is continuous and decreasing in mu, so the same
-root search on that gap initializes mu.  The diminishing 1/t steps then
-hold the iterate at the fixed point; from a badly scaled start they would
-need thousands of iterations to close a watt-sized gap, which the
-iteration cap treats as failure.
+The average power used is continuous and decreasing in mu, so the same root
+search on that gap initializes mu, down from K / (P_t ln2).  It probes mu = 0
+before the first trial with states to tighten, unless a trial has shown power
+above P_t: its states within budget at eta = 0 bound its power from below.
+The 1/t steps then hold the iterate; from a badly scaled start they would need
+thousands of iterations, past the cap, to close a watt-sized gap.
 
 In deterministic mode the interference weights are the squared cross
 links the transmitter knows (true under perfect CSI, estimates
@@ -280,7 +281,7 @@ class _Workspace:
             self.inv_density = np.where(density > 1e-300, 1.0 / density, 1e300)
             self.pcut = self.p_ref[:, None, None] / (self.policy.slope * self.gamma)
 
-    def subset(self, idx):
+    def subset(self, idx=slice(None)):
         return (self.gamma[idx], self.inv_density[idx], self.density[idx],
                 self.pcut[idx], self.weights[idx])
 
@@ -288,6 +289,11 @@ class _Workspace:
         """:func:`_allocate` on ``subset`` arrays, counted in ``evaluated``."""
         self.evaluated += eta.shape[0]
         return _allocate(mu, eta, *arrays)
+
+    def first_pass(self, mu):
+        """Every state's allocation at eta = 0, and the states it puts over budget."""
+        alloc = self.allocate(mu, np.zeros((self.count, self.budgets.size)), self.subset())
+        return alloc, np.any(alloc[3] > self.budgets * (1.0 + _TIGHT_REL), axis=1)
 
 
 def _allocate(mu, eta, gamma, inv_density, density, pcut, weights):
@@ -314,11 +320,10 @@ def _allocate(mu, eta, gamma, inv_density, density, pcut, weights):
     return winner, p_sel, x_sel, interference
 
 
-def _solve_states(ws: _Workspace, mu: float, eta_start: np.ndarray):
-    """Per-state inner problem: allocation plus tight interference multipliers."""
+def _solve_states(ws: _Workspace, mu: float, eta_start: np.ndarray, first=None):
+    """Per-state inner problem: allocation plus tight multipliers (reuses ``first``)."""
     eta = np.zeros((ws.count, ws.cfg.num_primaries))
-    alloc = ws.allocate(mu, eta, ws.subset(slice(None)))
-    bad = np.any(alloc[3] > ws.budgets * (1.0 + _TIGHT_REL), axis=1)
+    alloc, bad = first or ws.first_pass(mu)
     if np.any(bad):
         idx = np.nonzero(bad)[0]
         eta[idx], tight = _tighten(ws, mu, idx, eta_start[idx], alloc[3][idx])
@@ -425,27 +430,42 @@ def _find_root(evaluate, start, y_lo, y_hi, active, error, where):
     return hi
 
 
+class _SlackAtZero(Exception):
+    """The mu = 0 probe kept the power within P_t: the search ends there."""
+
+
 def _warm_start_mu(ws: _Workspace, tol_w: float):
     """Initialize the power multiplier by a root search on the power gap.
 
     Returns (mu0, eta) with |avg power - P_t| <= tol_w at mu0 (or mu0 on
-    the feasible side of a jump across that window), or mu0 = 0 when the
-    interference budgets alone keep the power below target.  eta, from
-    the last evaluation, warm-starts the next inner root searches.
+    the feasible side of a jump across that window), or 0 if P(0) <= P_t.
+    P(0) is probed before the first trial with states over budget, unless
+    a trial's power exceeded P_t + tol_w, as its states within budget at
+    eta = 0 already show.  eta, from the last evaluation, is the next hint.
     """
     p_t = ws.cfg.total_power_w
     eta = np.zeros((ws.count, ws.cfg.num_primaries))
+    unproven = True         # no trial has shown P(0) > P_t yet
 
     def power_at(mu, rows):
-        nonlocal eta
-        _, p_sel, _, _, eta = _solve_states(ws, float(mu[0]), eta)
+        nonlocal eta, unproven
+        alloc, bad = first = ws.first_pass(float(mu[0]))
+        unproven = unproven and np.sum(alloc[1][~bad]) / ws.count <= p_t + tol_w
+        if unproven and np.any(bad):
+            alloc = first = None            # free this pass before the probe
+            _, p_sel, _, _, eta = _solve_states(ws, 0.0, np.zeros_like(eta))
+            if np.mean(np.sum(p_sel, axis=1)) <= p_t:
+                raise _SlackAtZero
+            unproven = False
+        _, p_sel, _, _, eta = _solve_states(ws, float(mu[0]), eta, first)
         return np.array([np.mean(np.sum(p_sel, axis=1))])
 
-    if power_at(np.zeros(1), None)[0] <= p_t:
+    try:
+        mu = _find_root(power_at, np.array([ws.cfg.num_subcarriers / (p_t * LN2)]),
+                        p_t - tol_w, p_t + tol_w, np.ones(1, dtype=bool), ConvergenceError,
+                        lambda row: "cannot bracket the power multiplier: average power")
+    except _SlackAtZero:
         return 0.0, eta
-    mu = _find_root(power_at, np.array([ws.cfg.num_subcarriers / (p_t * LN2)]),
-                    p_t - tol_w, p_t + tol_w, np.ones(1, dtype=bool), ConvergenceError,
-                    lambda row: "cannot bracket the power multiplier: average power")
     return float(mu[0]), eta
 
 

@@ -1,5 +1,6 @@
 """Water-filling, assignment and dual-solve oracles."""
 
+import gc
 import re
 
 import numpy as np
@@ -538,3 +539,75 @@ def test_full_passes_at_a_binding_cap():
     assert dual.warm_start_passes + dual.iteration_passes <= 392 / 3
     assert 1.0 < dual.iteration_passes <= 3.0
     assert set(dual.trace) == {"iter", "mu", "primal_ase", "dual_value", "power_gap"}
+
+
+def _wide_m2(**overrides):
+    return deterministic_benchmark(num_users=8, num_subcarriers=256, num_primaries=2,
+                                   interference_limit_w=(10.0, 10.0),
+                                   rate_mode="discrete", **overrides)
+
+
+@pytest.mark.parametrize("cfg, states", [
+    (deterministic_benchmark(rng_seed=6, interference_limit_w=(10.0,)), 60),
+    (_wide_m2(rng_seed=6), 20),
+], ids=["deterministic", "wide-m2"])
+def test_power_above_target_skips_the_mu_zero_probe(cfg, states):
+    # probing mu = 0 first, the search spends 14.45 and 26.55 passes here
+    dual = solve_dual(cfg, num_states=states).dual
+    assert dual.mu > 0.0 and not np.any(dual.eta > 0.0)
+    assert dual.warm_start_passes <= 8.0
+
+
+@pytest.mark.parametrize("noise_psd_dbm_hz", [-15.0, 10.0])
+def test_deferred_mu_zero_probe_matches_a_probe_run_first(noise_psd_dbm_hz):
+    # at 10 dBm/Hz a trial's untightened power exceeds P_t while P(0) <= P_t
+    cfg = deterministic_benchmark(noise_psd_dbm_hz=noise_psd_dbm_hz,
+                                  interference_limit_w=(0.05,), total_power_w=100.0)
+    batch = sample_realizations(cfg, range(40))
+    ws = optimizer_module._Workspace(cfg, batch)
+    mu0 = cfg.num_subcarriers / (cfg.total_power_w * LN2)
+    *_, interference = ws.allocate(mu0, np.zeros((40, 1)), ws.subset(slice(None)))
+    assert np.all(interference <= ws.budgets * (1.0 + 1e-6))   # no state to tighten
+    # the probe from eta = 0, then iteration 1 at mu = 0 from its eta
+    probe = optimizer_module._solve_states(ws, 0.0, np.zeros((40, 1)))
+    assert np.mean(np.sum(probe[1], axis=1)) <= cfg.total_power_w
+    first = optimizer_module._solve_states(ws, 0.0, probe[4])
+    result = solve_dual(cfg, batch)
+    assert result.dual.mu == 0.0 and result.dual.iterations == 1
+    assert np.array_equal(result.dual.eta, first[4])
+    assert np.array_equal(result.policies.power, first[1])
+    assert result.avg_power_w == float(np.mean(np.sum(first[1], axis=1)))
+
+
+@pytest.mark.parametrize("cfg", [
+    deterministic_benchmark(),
+    imperfect_benchmark(),
+    deterministic_benchmark(num_subcarriers=1),
+    _wide_m2(),
+], ids=["deterministic", "imperfect", "k1", "m2"])
+def test_power_search_starts_on_the_feasible_side(cfg):
+    # no winner gets more than 1 / (ln2 mu0) = P_t / K, so the average is <= P_t
+    ws = optimizer_module._Workspace(cfg, sample_realizations(cfg, range(40)))
+    k, p_t = cfg.num_subcarriers, cfg.total_power_w
+    mu0 = k / (p_t * LN2)
+    _, power, *_ = optimizer_module._solve_states(
+        ws, mu0, np.zeros((40, cfg.num_primaries)))
+    assert np.max(power) <= p_t / k * (1.0 + 1e-12)
+    assert np.mean(np.sum(power, axis=1)) <= p_t
+
+
+def test_solve_leaves_no_reference_cycles():
+    # a cycle would keep a solve's (S, N, K) workspace arrays alive until the
+    # cyclic collector runs, so back-to-back solves would pile them up
+    for cfg in (deterministic_benchmark(interference_limit_w=(2.0,)),
+                deterministic_benchmark(),
+                deterministic_benchmark(noise_psd_dbm_hz=10.0, interference_limit_w=(0.05,),
+                                        total_power_w=100.0)):
+        solve_dual(cfg, num_states=20)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_dual(cfg, num_states=20)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
