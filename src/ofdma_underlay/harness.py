@@ -9,14 +9,16 @@ resampling on the states that fit ranks worst) when the constraint is
 probabilistic.  The resampling redraws only the loaded cross links: an
 unloaded one adds exactly 0 to the interference, so the estimate has
 the law of a redraw of all K links at L/K of the normals (L loaded).
-Sweeps rerun the experiment along one scenario axis and serialize rows
-to a fixed-header CSV with a JSON sidecar.  All artifacts are
-deterministic for a given config and seed: stable float formatting,
-sorted keys, no timestamps.
+Sweeps rerun the experiment along one scenario axis, on one shared
+read-only draw unless the axis (the subcarrier count) changes the draw,
+and serialize rows to a fixed-header CSV with a JSON sidecar.  All
+artifacts are deterministic for a given config and seed: stable float
+formatting, sorted keys, no timestamps.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -57,6 +59,9 @@ SWEEP_AXES = {
 
 SWEEP_HEADER = "axis_value,ase,ase_stderr,power_used,max_interf,collision,epsilon"
 TRACE_HEADER = "iter,mu,primal_ase,dual_value,power_gap"
+
+# the draw a sweep shares with the run_experiment calls it makes
+_sweep_batch = contextvars.ContextVar("sweep_batch", default=None)
 
 
 def format_float(value) -> str:
@@ -199,7 +204,7 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
         report.elapsed_s = time.perf_counter() - start
         return report
 
-    batch = sample_realizations(cfg, range(num_states))
+    batch = _sweep_batch.get() or sample_realizations(cfg, range(num_states))
     result = solve_dual(cfg, batch, max_iterations=max_iterations,
                         run_all_iterations=run_all_iterations)
     power_sel = result.policies.power                               # (S, K)
@@ -280,9 +285,13 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
     if any(a > b for a, b in zip(values, values[1:])):
         raise ConfigError("sweep values must be sorted nondecreasing")
     configs = [_axis_update(cfg, axis, v) for v in values]
+    shared = (None if SWEEP_AXES.get(axis, axis) == "num_subcarriers"
+              else sample_realizations(configs[0], range(num_states)))
 
     def job(c):
-        return run_experiment(c, num_states, **experiment_kwargs)
+        context = contextvars.copy_context()
+        context.run(_sweep_batch.set, shared)
+        return context.run(run_experiment, c, num_states, **experiment_kwargs)
 
     if threads <= 1:
         return [job(c) for c in configs]

@@ -18,9 +18,11 @@ maximizing the selection metric
 ties to the lowest user index.  ``eta`` is found by a bracketed log-log
 root search (:func:`_find_root`), warm-started from the last multipliers,
 until the realized budget use is tight to 1e-6 relative (or zero if
-slack); ``mu`` follows a projected subgradient with step 1 / (P_t (10 + t)),
-stopping when the average-power gap is within tolerance or the
-multiplier sits at zero with slack power.
+slack); a state keeps the allocation its root's trial evaluated, and the
+first outer iteration takes the warm start's solved states, so no
+allocation is evaluated twice.  ``mu`` follows a projected subgradient
+with step 1 / (P_t (10 + t)), stopping when the average-power gap is
+within tolerance or the multiplier sits at zero with slack power.
 
 The average power used is continuous and decreasing in mu, so the same root
 search on that gap initializes mu, down from K / (P_t ln2).  It probes mu = 0
@@ -231,7 +233,7 @@ class _Workspace:
     """Per-solve precomputed arrays shared by every dual iteration."""
 
     __slots__ = ("cfg", "policy", "count", "gamma", "density", "inv_density",
-                 "pcut", "weights", "budgets", "p_ref", "streams", "evaluated")
+                 "pcut", "weights", "budgets", "p_ref", "streams", "evaluated", "solved")
 
     def __init__(self, cfg: ScenarioConfig, batch: BatchRealizations):
         self.cfg = cfg
@@ -241,6 +243,7 @@ class _Workspace:
         self.count = s
         self.streams = np.asarray(batch.streams)
         self.evaluated = 0          # state-evaluations of _allocate so far
+        self.solved = None          # _solve_states at the warm start's mu
 
         if cfg.constraint_mode == "probabilistic":
             weights = alpha_weights(posterior_stats(cfg, batch.cross_est))  # (S, M, K)
@@ -300,22 +303,35 @@ def _allocate(mu, eta, gamma, inv_density, density, pcut, weights):
     """Evaluate the stationary allocation for per-state multipliers.
 
     eta is (S, M); returns winner indices, winner power/x (S, K) and the
-    enforced interference (S, M).
+    enforced interference (S, M).  Winners are ``np.argmax`` over users:
+    ties go to the lowest index, and NaN (the metric of an infinite x at a
+    zero price, mu = 0 with no priced interference) is the maximum.
     """
     priced = np.einsum("sm,smk->sk", eta, weights)                 # (S, K)
-    with np.errstate(over="ignore"):
-        price = mu + priced[:, None, :] * inv_density              # (S, N, K)
-    with np.errstate(divide="ignore"):
-        water = 1.0 / (LN2 * price)
-    power = water - pcut
+    with np.errstate(over="ignore", divide="ignore"):
+        power = np.multiply(priced[:, None, :], inv_density)       # (S, N, K)
+        power += mu                                                # the price
+        power *= LN2
+        np.divide(1.0, power, out=power)
+    power -= pcut
     np.maximum(power, 0.0, out=power)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(power > 0.0, power / pcut, 0.0)
-        metric = density * (x / (LN2 * (1.0 + x)) + np.log1p(x) / LN2)
-    winner = np.argmax(metric, axis=1)                             # (S, K)
-    take = winner[:, None, :]
-    p_sel = np.take_along_axis(power, take, axis=1)[:, 0, :]
-    x_sel = np.take_along_axis(x, take, axis=1)[:, 0, :]
+        x = power / pcut        # NaN where power is NaN or 0 / 0, and x is 0 there
+        np.fmax(x, 0.0, out=x)
+        metric = np.log1p(x)
+        metric /= LN2
+        ratio = x + 1.0
+        ratio *= LN2
+        metric += np.divide(x, ratio, out=ratio)
+        metric *= density
+    s, n, k = metric.shape
+    best = np.max(metric, axis=1)                                  # NaN if any is
+    winner = np.full(best.shape, n - 1)
+    for u in range(n - 2, -1, -1):          # from the last user down, so the first wins
+        winner[(metric[:, u] == best) | np.isnan(metric[:, u])] = u
+    flat = winner * k + np.arange(0, s * n * k, n * k)[:, None] + np.arange(k)
+    p_sel = power.reshape(-1)[flat]
+    x_sel = x.reshape(-1)[flat]
     interference = np.einsum("sk,smk->sm", p_sel, weights)
     return winner, p_sel, x_sel, interference
 
@@ -326,20 +342,19 @@ def _solve_states(ws: _Workspace, mu: float, eta_start: np.ndarray, first=None):
     alloc, bad = first or ws.first_pass(mu)
     if np.any(bad):
         idx = np.nonzero(bad)[0]
-        eta[idx], tight = _tighten(ws, mu, idx, eta_start[idx], alloc[3][idx])
-        for full, part in zip(alloc, tight):
-            full[idx] = part
+        eta[idx] = _tighten(ws, mu, idx, eta_start[idx], alloc)
     return (*alloc, eta)
 
 
-def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray,
-             interf0: np.ndarray):
-    """Multipliers of the violating states ``idx``, and the allocation at them.
+def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray, alloc):
+    """Multipliers of the violating states ``idx``; moves their rows of ``alloc`` there.
 
-    ``interf0`` is their interference at eta = 0.  With one primary this
-    is one root search per state; with several the primaries are swept
-    cyclically until every budget holds (raising any multiplier only
-    lowers all interference terms, so the sweep terminates).
+    ``alloc`` holds every state's allocation at eta = 0.  With one primary
+    this is one root search per state, and a row keeps the allocation of
+    its latest feasible trial, which is the root the search returns; with
+    several the primaries are swept cyclically until every budget holds
+    (raising any multiplier only lowers all interference terms, so the
+    sweep terminates), and the pass that checks this gives the allocation.
     """
     sub = ws.subset(idx)
     budgets = ws.budgets
@@ -349,11 +364,16 @@ def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray,
         trial = eta.copy() if rows is None else eta[rows]
         trial[:, j] = eta_j
         arrays = sub if rows is None else tuple(a[rows] for a in sub)
-        return ws.allocate(mu, trial, arrays)[3][:, j]
+        part = ws.allocate(mu, trial, arrays)
+        if budgets.size == 1:
+            feas = part[3][:, 0] <= budgets[0]
+            for full, new in zip(alloc, part):
+                full[idx[feas] if rows is None else idx[rows[feas]]] = new[feas]
+        return part[3][:, j]
 
     for sweep in range(1 if budgets.size == 1 else 8):
         for j, budget in enumerate(budgets):
-            at_zero = interf0[:, j] if sweep == j == 0 else interference(j, 0.0, None)
+            at_zero = alloc[3][idx, j] if sweep == j == 0 else interference(j, 0.0, None)
             hint = np.where(eta[:, j] > 0.0, eta[:, j], eta_hint[:, j])
             eta[:, j] = _find_root(
                 functools.partial(interference, j), np.where(hint > 0.0, hint, 1.0),
@@ -361,15 +381,19 @@ def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray,
                 at_zero > budget * (1.0 + _TIGHT_REL), InfeasibleError,
                 lambda row: "no finite multiplier meets primary %d's budget at "
                 "state %d (stream %d)" % (j, idx[row], ws.streams[idx[row]]))
-        alloc = ws.allocate(mu, eta, sub)
-        over = alloc[3] > budgets * (1.0 + _TIGHT_REL)
+        if budgets.size == 1:
+            return eta
+        part = ws.allocate(mu, eta, sub)
+        over = part[3] > budgets * (1.0 + _TIGHT_REL)
         if not np.any(over):
-            return eta, alloc
+            for full, new in zip(alloc, part):
+                full[idx] = new
+            return eta
     row, j = np.argwhere(over)[0]
     raise InfeasibleError(
         "interference budgets remain violated after cyclic multiplier "
         "tightening: state %d (stream %d), primary %d at %.6g W of %g W"
-        % (idx[row], ws.streams[idx[row]], j, alloc[3][row, j], budgets[j]))
+        % (idx[row], ws.streams[idx[row]], j, part[3][row, j], budgets[j]))
 
 
 def _find_root(evaluate, start, y_lo, y_hi, active, error, where):
@@ -441,7 +465,9 @@ def _warm_start_mu(ws: _Workspace, tol_w: float):
     the feasible side of a jump across that window), or 0 if P(0) <= P_t.
     P(0) is probed before the first trial with states over budget, unless
     a trial's power exceeded P_t + tol_w, as its states within budget at
-    eta = 0 already show.  eta, from the last evaluation, is the next hint.
+    eta = 0 already show.  ``ws.solved`` keeps the states solved at mu0,
+    with eta: the probe, or the latest trial within P_t + tol_w, which is
+    the root the search returns.
     """
     p_t = ws.cfg.total_power_w
     eta = np.zeros((ws.count, ws.cfg.num_primaries))
@@ -453,20 +479,23 @@ def _warm_start_mu(ws: _Workspace, tol_w: float):
         unproven = unproven and np.sum(alloc[1][~bad]) / ws.count <= p_t + tol_w
         if unproven and np.any(bad):
             alloc = first = None            # free this pass before the probe
-            _, p_sel, _, _, eta = _solve_states(ws, 0.0, np.zeros_like(eta))
-            if np.mean(np.sum(p_sel, axis=1)) <= p_t:
+            probe = _solve_states(ws, 0.0, np.zeros_like(eta))
+            if np.mean(np.sum(probe[1], axis=1)) <= p_t:
+                ws.solved = probe
                 raise _SlackAtZero
-            unproven = False
-        _, p_sel, _, _, eta = _solve_states(ws, float(mu[0]), eta, first)
-        return np.array([np.mean(np.sum(p_sel, axis=1))])
+            eta, unproven = probe[4], False
+        solved = _solve_states(ws, float(mu[0]), eta, first)
+        eta, power = solved[4], np.mean(np.sum(solved[1], axis=1))
+        ws.solved = solved if power <= p_t + tol_w else ws.solved
+        return np.array([power])
 
     try:
         mu = _find_root(power_at, np.array([ws.cfg.num_subcarriers / (p_t * LN2)]),
                         p_t - tol_w, p_t + tol_w, np.ones(1, dtype=bool), ConvergenceError,
                         lambda row: "cannot bracket the power multiplier: average power")
     except _SlackAtZero:
-        return 0.0, eta
-    return float(mu[0]), eta
+        return 0.0, ws.solved[4]
+    return float(mu[0]), ws.solved[4]
 
 
 def _dual_bound(ws: _Workspace, mu: float, eta: np.ndarray) -> float:
@@ -536,7 +565,8 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
     trace = {"iter": [], "mu": [], "primal_ase": [], "dual_value": [],
              "power_gap": []}
     for t in range(1, max_iterations + 1):
-        winner, p_sel, x_sel, interf, eta = _solve_states(ws, mu, eta)
+        solved, ws.solved = ws.solved, None
+        winner, p_sel, x_sel, interf, eta = solved or _solve_states(ws, mu, eta)
         avg_power = float(np.mean(np.sum(p_sel, axis=1)))
         gap = avg_power - p_t
         primal = float(np.mean(np.sum(np.log1p(x_sel), axis=1))) / LN2

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import ofdma_underlay.harness as harness_module
 from ofdma_underlay.channel import posterior_stats, sample_realizations
 from ofdma_underlay.config import build_config
 from ofdma_underlay.errors import ConfigError
@@ -248,6 +249,34 @@ def test_threaded_sweep_matches_serial():
     serial = sweep(cfg, "ith", [0.5, 1.0, 2.0], 80, threads=1)
     threaded = sweep(cfg, "ith", [0.5, 1.0, 2.0], 80, threads=3)
     assert [r.to_mapping() for r in serial] == [r.to_mapping() for r in threaded]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_draws_the_states_once(monkeypatch, threads):
+    draws = []
+
+    def counting(cfg, streams):
+        batch = sample_realizations(cfg, streams)
+        draws.append((batch, [np.copy(a) for a in vars(batch).values()]))
+        return batch
+
+    monkeypatch.setattr(harness_module, "sample_realizations", counting)
+    cases = [(_cfg(), "ith", [0.5, 1.0, 2.0], {}),
+             (_small_imperfect(), "epsilon", [0.05, 0.2], {"audit_states": 4})]
+    for cfg, axis, values, kwargs in cases:
+        rows = sweep(cfg, axis, values, 60, threads=threads, **kwargs)
+        assert len(draws) == 1
+        batch, copies = draws.pop()
+        for array, copy in zip(vars(batch).values(), copies):
+            assert array.tobytes() == copy.tobytes()
+        for value, row in zip(values, rows):
+            alone = run_experiment(harness_module._axis_update(cfg, axis, value), 60,
+                                   **kwargs)
+            draws.clear()
+            assert json.dumps(row.to_mapping()) == json.dumps(alone.to_mapping())
+            assert row.result.policies.power.tobytes() == alone.result.policies.power.tobytes()
+    sweep(_cfg(), "k", [4, 8, 16], 30, threads=threads)
+    assert sorted(batch.direct_power.shape[2] for batch, _ in draws) == [4, 8, 16]
 
 
 # ---------------------------------------------------------------------------
