@@ -16,18 +16,17 @@ from .errors import (ConfigError, ConvergenceError, InfeasibleError,
                      ModeError, ShapeError)
 from .harness import EvaluationReport, run_experiment, sweep
 from .interference import (audit_deterministic, audit_probabilistic,
-                           central_tail_approx, collision_audit_csv,
-                           composite_chisq, deterministic_audit_csv,
+                           central_tail_approx, composite_chisq,
                            surrogate_budget)
 from .modulation import (ber_bound, ber_exact, ber_slope, discretize_rate,
-                         max_constellation, RatePolicy)
+                         max_constellation)
 from .optimizer import (AllocationPolicy, DualState, PolicyBatch, SolveResult,
                         assign_subcarriers, inner_interference_multiplier,
                         per_link_lagrangian, selection_metric, solve_dual,
                         waterfill_power)
 from .presets import PRESETS, get_preset
-from .sinr import (SinrDistribution, gaussian_sum_params, reference_power,
-                   reference_sinr, sample_sinr_mc, sinr_distribution)
+from .sinr import (SinrDistribution, gaussian_sum_params, sample_sinr_mc,
+                   sinr_distribution)
 
 __version__ = "0.1.0"
 
@@ -38,13 +37,12 @@ __all__ = [
     "posterior_stats", "sample_realization", "sample_realizations",
     "ConfigError", "ConvergenceError", "InfeasibleError", "ModeError",
     "ShapeError",
-    "SinrDistribution", "gaussian_sum_params", "reference_power",
-    "reference_sinr", "sample_sinr_mc", "sinr_distribution",
+    "SinrDistribution", "gaussian_sum_params", "sample_sinr_mc",
+    "sinr_distribution",
     "ber_bound", "ber_exact", "ber_slope", "discretize_rate",
-    "max_constellation", "RatePolicy",
+    "max_constellation",
     "audit_deterministic", "audit_probabilistic", "central_tail_approx",
-    "collision_audit_csv", "composite_chisq", "deterministic_audit_csv",
-    "surrogate_budget",
+    "composite_chisq", "surrogate_budget",
     "AllocationPolicy", "DualState", "PolicyBatch", "SolveResult",
     "assign_subcarriers", "inner_interference_multiplier",
     "per_link_lagrangian", "selection_metric", "solve_dual",

@@ -48,11 +48,6 @@ class ChannelRealization:
     cross_err: np.ndarray
     stream: int
 
-    def aggregate_cross_power(self, m: int) -> float:
-        """Sum over subcarriers of |H_sp[m, k]|^2."""
-        row = self.cross_true[m]
-        return float(np.sum(row.real ** 2 + row.imag ** 2))
-
 
 @dataclass(frozen=True)
 class BatchRealizations:

@@ -29,11 +29,10 @@ import sys
 
 import numpy as np
 
-from .config import (ScenarioConfig, apply_overrides, build_config,
-                     parse_config_text)
+from .config import ScenarioConfig, apply_overrides, build_config, load_config
 from .errors import ConfigError, ConvergenceError, InfeasibleError
-from .harness import (SWEEP_AXES, format_float, run_experiment, sweep,
-                      write_sweep_csv, write_sweep_json, write_trace_csv)
+from .harness import (SWEEP_AXES, TRACE_HEADER, format_float, run_experiment,
+                      sweep, write_sweep_csv, write_sweep_json, write_trace_csv)
 from .presets import PRESETS, get_preset
 from .selftest import run_selftest
 from .sinr import sample_sinr_mc, sinr_distribution
@@ -69,17 +68,6 @@ def _raw_from_config(cfg: ScenarioConfig) -> dict:
 def _resolve_config(args) -> ScenarioConfig:
     if getattr(args, "config", None) and getattr(args, "preset", None):
         raise ConfigError("pass either --config or --preset, not both")
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = parse_config_text(fh.read())
-        except OSError as exc:
-            raise ConfigError("cannot read config %s: %s" % (args.config, exc))
-    elif getattr(args, "preset", None):
-        raw = _raw_from_config(get_preset(args.preset))
-    else:
-        raw = _raw_from_config(ScenarioConfig())
-
     overrides = list(getattr(args, "set", None) or [])
     if getattr(args, "seed", None) is not None:
         overrides.append("rng_seed=%d" % args.seed)
@@ -87,6 +75,10 @@ def _resolve_config(args) -> ScenarioConfig:
         overrides.append("constraint_mode=%s" % args.mode)
     if getattr(args, "rate", None):
         overrides.append("rate_mode=%s" % args.rate)
+    if getattr(args, "config", None):
+        return load_config(args.config, overrides)
+    preset = getattr(args, "preset", None)
+    raw = _raw_from_config(get_preset(preset) if preset else ScenarioConfig())
     return build_config(apply_overrides(raw, overrides))
 
 
@@ -240,7 +232,7 @@ def _cmd_run(args) -> int:
             write_trace_csv(trace_path, rep.result.dual)
         else:
             with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("iter,mu,primal_ase,dual_value,power_gap\n")
+                fh.write(TRACE_HEADER + "\n")
         print("wrote %s and %s" % (os.path.join(out, "report.json"), trace_path))
     return 0
 

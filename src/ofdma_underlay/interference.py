@@ -51,8 +51,6 @@ __all__ = [
     "surrogate_budget",
     "enforced_budgets",
     "audit_probabilistic",
-    "deterministic_audit_csv",
-    "collision_audit_csv",
 ]
 
 _AUDIT_TAG = 0xA0D17
@@ -246,21 +244,3 @@ def audit_probabilistic(alloc, post: PosteriorCrossStats, cfg: ScenarioConfig,
     eps = np.asarray(cfg.collision_limit, dtype=float)
     return CollisionAudit(collision_prob=prob, stderr=stderr,
                           limit_w=limits, epsilon=eps, samples=samples)
-
-
-def deterministic_audit_csv(audit: InterferenceAudit) -> str:
-    """Render a deterministic audit as CSV, one row per primary."""
-    lines = ["prx,interference_w,limit_w,violated"]
-    for m in range(audit.interference_w.shape[0]):
-        lines.append("%d,%.12g,%.12g,%d" % (
-            m, audit.interference_w[m], audit.limit_w[m], bool(audit.violated[m])))
-    return "\n".join(lines) + "\n"
-
-
-def collision_audit_csv(audit: CollisionAudit) -> str:
-    """Render a Monte Carlo collision audit as CSV, one row per primary."""
-    lines = ["prx,collision_prob,stderr,epsilon"]
-    for m in range(audit.collision_prob.shape[0]):
-        lines.append("%d,%.12g,%.12g,%.12g" % (
-            m, audit.collision_prob[m], audit.stderr[m], audit.epsilon[m]))
-    return "\n".join(lines) + "\n"

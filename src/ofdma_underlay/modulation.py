@@ -17,16 +17,12 @@ slope * snr >= 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .config import ScenarioConfig
-
 __all__ = [
     "ALLOWED_BITS",
-    "RatePolicy",
     "ber_slope",
     "ber_exact",
     "ber_bound",
@@ -114,18 +110,3 @@ def cutoff_threshold(mu: float, eta: float, cross_weight: float, slope: float) -
     if mu == 0.0 and eta == 0.0:
         raise ValueError("both multipliers vanish: no finite cutoff exists")
     return LN2 * (mu + eta * cross_weight) / slope
-
-
-@dataclass(frozen=True)
-class RatePolicy:
-    """BER ceiling, its slope, and the discrete bit loads in use."""
-
-    ber_target: float
-    slope: float
-    rate_mode: str = "continuous"
-    allowed_bits: tuple = ALLOWED_BITS
-
-    @classmethod
-    def from_config(cls, cfg: ScenarioConfig) -> "RatePolicy":
-        return cls(ber_target=cfg.ber_target, slope=ber_slope(cfg.ber_target),
-                   rate_mode=cfg.rate_mode)

@@ -15,14 +15,16 @@ maximizing the selection metric
 
     Lambda = f * [ x / (ln2 (1 + x)) + log2(1 + x) ],  x = slope gamma P* / P_ref,
 
-ties to the lowest user index.  ``eta`` is found by a bracketed log-log
-root search (:func:`_find_root`), warm-started from the last multipliers,
-until the realized budget use is tight to 1e-6 relative (or zero if
-slack); a state keeps the allocation its root's trial evaluated, and the
-first outer iteration takes the warm start's solved states, so no
-allocation is evaluated twice.  ``mu`` follows a projected subgradient
-with step 1 / (P_t (10 + t)), stopping when the average-power gap is
-within tolerance or the multiplier sits at zero with slack power.
+ties to the lowest user index.  ``eta`` is found one primary at a time,
+sweeping the primaries cyclically until every budget holds, each by a
+bracketed log-log root search (:func:`_find_root`), warm-started from the
+last multipliers, until the realized budget use is tight to 1e-6 relative
+(or zero if slack); a state keeps the allocation of the trials that set
+its multipliers, and the first outer iteration takes the warm start's
+solved states, so no allocation is evaluated twice.  ``mu`` follows a
+projected subgradient with step 1 / (P_t (10 + t)), stopping when the
+average-power gap is within 1e-3 P_t or the multiplier sits at zero with
+slack power.
 
 The average power used is continuous and decreasing in mu, so the same root
 search on that gap initializes mu, down from K / (P_t ln2).  It probes mu = 0
@@ -55,7 +57,7 @@ from .channel import (BatchRealizations, ChannelRealization, posterior_stats,
 from .config import ScenarioConfig
 from .errors import ConvergenceError, InfeasibleError, ShapeError
 from .interference import alpha_weights, enforced_budgets, posterior_aggregate_params
-from .modulation import LN2, RatePolicy, cutoff_threshold, discretize_rate
+from .modulation import LN2, ber_slope, cutoff_threshold, discretize_rate
 from .sinr import SinrDistribution, gaussian_sum_params
 
 __all__ = [
@@ -76,6 +78,7 @@ _ETA_DOUBLINGS = 60     # trials that may double a root's bracket
 _BISECT_STEPS = 90      # further trials that may narrow it
 _SECANT_STREAK = 3      # secant steps keeping one bracket end before a bisection
 _TIGHT_REL = 1e-6
+_POWER_GAP_REL = 1e-3   # the outer loop stops at |avg power - P_t| <= this * P_t
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +235,11 @@ class SolveResult:
 class _Workspace:
     """Per-solve precomputed arrays shared by every dual iteration."""
 
-    __slots__ = ("cfg", "policy", "count", "gamma", "density", "inv_density",
-                 "pcut", "weights", "budgets", "p_ref", "streams", "evaluated", "solved")
+    __slots__ = ("cfg", "count", "density", "inv_density", "pcut", "weights",
+                 "budgets", "p_ref", "streams", "evaluated", "solved")
 
     def __init__(self, cfg: ScenarioConfig, batch: BatchRealizations):
         self.cfg = cfg
-        self.policy = RatePolicy.from_config(cfg)
         s = len(batch)
         n, m, k = cfg.num_users, cfg.num_primaries, cfg.num_subcarriers
         self.count = s
@@ -266,7 +268,7 @@ class _Workspace:
         self.p_ref = np.minimum(cfg.total_power_w / k, cap_int)    # (S,)
 
         noise = cfg.total_noise_w
-        self.gamma = batch.direct_power * (self.p_ref / noise)[:, None, None]
+        gamma = batch.direct_power * (self.p_ref / noise)[:, None, None]
 
         density = np.empty((s, n, k))
         for j in range(m):
@@ -278,15 +280,14 @@ class _Workspace:
                 agg_var=agg_var, budget_w=float(budgets[j]),
                 total_power_w=cfg.total_power_w, noise_w=noise,
                 num_subcarriers=k)
-            density[mask] = dist.pdf(self.gamma[mask])
+            density[mask] = dist.pdf(gamma[mask])
         self.density = density
         with np.errstate(divide="ignore"):
             self.inv_density = np.where(density > 1e-300, 1.0 / density, 1e300)
-            self.pcut = self.p_ref[:, None, None] / (self.policy.slope * self.gamma)
+            self.pcut = self.p_ref[:, None, None] / (ber_slope(cfg.ber_target) * gamma)
 
     def subset(self, idx=slice(None)):
-        return (self.gamma[idx], self.inv_density[idx], self.density[idx],
-                self.pcut[idx], self.weights[idx])
+        return self.inv_density[idx], self.density[idx], self.pcut[idx], self.weights[idx]
 
     def allocate(self, mu, eta, arrays):
         """:func:`_allocate` on ``subset`` arrays, counted in ``evaluated``."""
@@ -299,7 +300,7 @@ class _Workspace:
         return alloc, np.any(alloc[3] > self.budgets * (1.0 + _TIGHT_REL), axis=1)
 
 
-def _allocate(mu, eta, gamma, inv_density, density, pcut, weights):
+def _allocate(mu, eta, inv_density, density, pcut, weights):
     """Evaluate the stationary allocation for per-state multipliers.
 
     eta is (S, M); returns winner indices, winner power/x (S, K) and the
@@ -349,51 +350,49 @@ def _solve_states(ws: _Workspace, mu: float, eta_start: np.ndarray, first=None):
 def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray, alloc):
     """Multipliers of the violating states ``idx``; moves their rows of ``alloc`` there.
 
-    ``alloc`` holds every state's allocation at eta = 0.  With one primary
-    this is one root search per state, and a row keeps the allocation of
-    its latest feasible trial, which is the root the search returns; with
-    several the primaries are swept cyclically until every budget holds
+    ``alloc`` holds every state's allocation at eta = 0.  The primaries are
+    swept cyclically, one root search each, until every budget holds
     (raising any multiplier only lowers all interference terms, so the
-    sweep terminates), and the pass that checks this gives the allocation.
+    sweep terminates; one primary takes one sweep).  Each trial writes
+    back the rows whose multiplier for its primary is final for this step:
+    a search trial the rows within budget, so a row keeps the allocation
+    of its latest feasible trial, which is the root the search returns,
+    and the eta = 0 trial the rows the search leaves at 0.  So ``alloc``
+    always holds the allocation at the current ``eta``.
     """
     sub = ws.subset(idx)
     budgets = ws.budgets
     eta = np.zeros((idx.size, budgets.size))
 
-    def interference(j, eta_j, rows):
+    def interference(j, keep_below, eta_j, rows):
         trial = eta.copy() if rows is None else eta[rows]
         trial[:, j] = eta_j
         arrays = sub if rows is None else tuple(a[rows] for a in sub)
         part = ws.allocate(mu, trial, arrays)
-        if budgets.size == 1:
-            feas = part[3][:, 0] <= budgets[0]
-            for full, new in zip(alloc, part):
-                full[idx[feas] if rows is None else idx[rows[feas]]] = new[feas]
+        keep = part[3][:, j] <= keep_below
+        at = idx[keep] if rows is None else idx[rows[keep]]
+        for full, new in zip(alloc, part):
+            full[at] = new[keep]
         return part[3][:, j]
 
-    for sweep in range(1 if budgets.size == 1 else 8):
+    for sweep in range(8):
         for j, budget in enumerate(budgets):
-            at_zero = alloc[3][idx, j] if sweep == j == 0 else interference(j, 0.0, None)
+            top = budget * (1.0 + _TIGHT_REL)
+            at_zero = alloc[3][idx, j] if sweep == j == 0 else interference(j, top, 0.0, None)
             hint = np.where(eta[:, j] > 0.0, eta[:, j], eta_hint[:, j])
             eta[:, j] = _find_root(
-                functools.partial(interference, j), np.where(hint > 0.0, hint, 1.0),
-                budget * (1.0 - _TIGHT_REL), budget,
-                at_zero > budget * (1.0 + _TIGHT_REL), InfeasibleError,
+                functools.partial(interference, j, budget), np.where(hint > 0.0, hint, 1.0),
+                budget * (1.0 - _TIGHT_REL), budget, at_zero > top, InfeasibleError,
                 lambda row: "no finite multiplier meets primary %d's budget at "
                 "state %d (stream %d)" % (j, idx[row], ws.streams[idx[row]]))
-        if budgets.size == 1:
-            return eta
-        part = ws.allocate(mu, eta, sub)
-        over = part[3] > budgets * (1.0 + _TIGHT_REL)
+        over = alloc[3][idx] > budgets * (1.0 + _TIGHT_REL)
         if not np.any(over):
-            for full, new in zip(alloc, part):
-                full[idx] = new
             return eta
     row, j = np.argwhere(over)[0]
     raise InfeasibleError(
         "interference budgets remain violated after cyclic multiplier "
         "tightening: state %d (stream %d), primary %d at %.6g W of %g W"
-        % (idx[row], ws.streams[idx[row]], j, part[3][row, j], budgets[j]))
+        % (idx[row], ws.streams[idx[row]], j, alloc[3][idx[row], j], budgets[j]))
 
 
 def _find_root(evaluate, start, y_lo, y_hi, active, error, where):
@@ -535,13 +534,12 @@ def inner_interference_multiplier(cfg: ScenarioConfig, real: ChannelRealization,
 
 
 def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None,
-               max_iterations: int = 500, power_gap_tol: float = 1e-3,
-               run_all_iterations: bool = False) -> SolveResult:
+               max_iterations: int = 500, run_all_iterations: bool = False) -> SolveResult:
     """Maximize average spectral efficiency over a batch of fading states.
 
     ``realizations`` may be a BatchRealizations; alternatively pass
     ``num_states`` to draw streams 0..num_states-1 of the scenario seed.
-    The outer loop stops once |avg power - P_t| <= power_gap_tol * P_t or
+    The outer loop stops once |avg power - P_t| <= 1e-3 P_t or
     the power constraint is slack at mu = 0; ``run_all_iterations`` forces
     the full iteration count (for convergence studies).  A loop that ends
     without meeting either condition raises ConvergenceError carrying the
@@ -560,7 +558,8 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
     s = ws.count
     p_t = cfg.total_power_w
 
-    mu, eta = _warm_start_mu(ws, 0.5 * power_gap_tol * p_t)
+    tol_w = _POWER_GAP_REL * p_t
+    mu, eta = _warm_start_mu(ws, 0.5 * tol_w)
     warm_evaluated = ws.evaluated
     trace = {"iter": [], "mu": [], "primal_ase": [], "dual_value": [],
              "power_gap": []}
@@ -577,7 +576,7 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
         trace["dual_value"].append(dual)
         trace["power_gap"].append(gap)
 
-        stop = abs(gap) <= power_gap_tol * p_t or (mu == 0.0 and gap <= 0.0)
+        stop = abs(gap) <= tol_w or (mu == 0.0 and gap <= 0.0)
         if stop and not run_all_iterations:
             break
         mu = max(mu + gap / (p_t * (10.0 + t)), 0.0)
@@ -608,6 +607,6 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
     if not converged and not run_all_iterations:
         raise ConvergenceError(
             "power gap %.3g W after %d iterations exceeds tolerance %.3g W"
-            % (trace["power_gap"][-1], t, power_gap_tol * p_t),
+            % (trace["power_gap"][-1], t, tol_w),
             result=result)
     return result

@@ -48,8 +48,6 @@ __all__ = [
     "SinrDistribution",
     "gaussian_sum_params",
     "aggregate_gain_params",
-    "reference_power",
-    "reference_sinr",
     "sinr_distribution",
     "sample_sinr_mc",
 ]
@@ -82,22 +80,6 @@ def aggregate_gain_params(cfg: ScenarioConfig, m: int):
     if not 0 <= m < cfg.num_primaries:
         raise ShapeError("primary index %d out of range" % m)
     return gaussian_sum_params(cfg.cross_mean, cfg.cross_var, cfg.num_subcarriers)
-
-
-def reference_power(cfg: ScenarioConfig, aggregate_gain: float, m: int) -> float:
-    """min(P_t/K, I/N): the per-subcarrier reference transmit power."""
-    cap = cfg.total_power_w / cfg.num_subcarriers
-    if aggregate_gain > 0.0:
-        cap = min(cap, cfg.interference_limit_w[m] / aggregate_gain)
-    return cap
-
-
-def reference_sinr(real, cfg: ScenarioConfig, n: int, k: int, m: int) -> float:
-    """Reference SINR of user n on subcarrier k against primary m's budget."""
-    if not (0 <= n < cfg.num_users and 0 <= k < cfg.num_subcarriers):
-        raise ShapeError("user/subcarrier index out of range")
-    p_ref = reference_power(cfg, real.aggregate_cross_power(m), m)
-    return float(real.direct_power[n, k]) * p_ref / cfg.total_noise_w
 
 
 @dataclass(frozen=True)

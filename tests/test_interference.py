@@ -12,9 +12,7 @@ from ofdma_underlay.errors import ShapeError
 from ofdma_underlay.interference import (_posterior_collisions, alpha_weights,
                                          audit_deterministic,
                                          audit_probabilistic,
-                                         central_tail_approx,
-                                         collision_audit_csv, composite_chisq,
-                                         deterministic_audit_csv,
+                                         central_tail_approx, composite_chisq,
                                          enforced_budgets, posterior_aggregate,
                                          posterior_aggregate_params,
                                          surrogate_budget, xi_mean, xi_means)
@@ -336,20 +334,3 @@ def test_posterior_collisions_draw_only_loaded_links(loaded):
     assert rng.normals == 2 * samples * 2 * len(loaded)
     if not loaded:
         np.testing.assert_array_equal(prob, [0.0, 0.0])
-
-
-def test_audit_csv_headers():
-    cfg = deterministic_benchmark(num_subcarriers=4)
-    real = sample_realization(cfg, 0)
-    det = audit_deterministic(_alloc(np.zeros((3, 4)), np.zeros((3, 4))), real, cfg)
-    text = deterministic_audit_csv(det)
-    assert text.splitlines()[0] == "prx,interference_w,limit_w,violated"
-    assert text.splitlines()[1] == "0,0,10,0"
-
-    icfg = imperfect_benchmark(num_subcarriers=4)
-    post = posterior_stats(icfg, sample_realization(icfg, 0).cross_est)
-    coll = audit_probabilistic(_alloc(np.zeros((3, 4)), np.zeros((3, 4))),
-                               post, icfg, samples=10_000)
-    text = collision_audit_csv(coll)
-    assert text.splitlines()[0] == "prx,collision_prob,stderr,epsilon"
-    assert text.splitlines()[1] == "0,0,0,0.1"

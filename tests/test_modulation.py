@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ofdma_underlay.modulation import (ALLOWED_BITS, LN2, RatePolicy,
-                                       ber_bound, ber_exact, ber_slope,
+from ofdma_underlay.modulation import (ALLOWED_BITS, LN2, ber_bound,
+                                       ber_exact, ber_slope,
                                        cutoff_threshold, discretize_rate,
                                        max_constellation)
-from ofdma_underlay.presets import deterministic_benchmark
 
 
 def test_slope_reference_values():
@@ -103,11 +102,3 @@ def test_cutoff_threshold_algebra():
         cutoff_threshold(0.0, 0.0, 1.0, slope)
     with pytest.raises(ValueError):
         cutoff_threshold(-0.1, 0.0, 0.0, slope)
-
-
-def test_rate_policy_from_config():
-    cfg = deterministic_benchmark(ber_target=1e-2, rate_mode="discrete")
-    policy = RatePolicy.from_config(cfg)
-    assert policy.slope == pytest.approx(ber_slope(1e-2))
-    assert policy.rate_mode == "discrete"
-    assert policy.allowed_bits == ALLOWED_BITS

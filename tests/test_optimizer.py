@@ -541,6 +541,43 @@ def test_full_passes_at_a_binding_cap():
     assert set(dual.trace) == {"iter", "mu", "primal_ase", "dual_value", "power_gap"}
 
 
+def _binding_m2():
+    return deterministic_benchmark(rng_seed=6, num_primaries=2, interference_limit_w=(1.0, 3.0))
+
+
+def test_full_passes_with_two_binding_primaries():
+    dual = solve_dual(_binding_m2(), num_states=60).dual
+    assert np.all(dual.eta > 0.0)           # every state binds both primaries
+    # a closing pass after each cyclic sweep spent 168.40 here
+    assert dual.warm_start_passes + dual.iteration_passes <= 158.40
+
+
+def _two_sweep_allocate(mu, eta, *arrays):
+    """A stand-in kernel whose primary-0 interference rises with eta_1.
+
+    Budgets of 1 W take a second sweep that ends at eta = (2, 0), where
+    primary 1 sits 5e-7 relative above its budget, inside the tightness
+    window, so the eta_1 = 0 trial is the only one at the final eta.
+    """
+    e0, e1 = eta[:, 0], eta[:, 1]
+    interference = np.stack([2.0 / (1.0 + e0) + 0.5 * e1 / (1.0 + e1),
+                             np.where(e0 < 1.5, 3.0, 1.0 + 5e-7) / (1.0 + e1)], axis=1)
+    return np.zeros((eta.shape[0], 2), dtype=int), eta.copy(), eta + 1.0, interference
+
+
+def test_tighten_keeps_the_allocation_at_the_final_eta(monkeypatch):
+    monkeypatch.setattr(optimizer_module, "_allocate", _two_sweep_allocate)
+    cfg = deterministic_benchmark(num_primaries=2, interference_limit_w=(1.0, 1.0),
+                                  num_subcarriers=2)
+    ws = optimizer_module._Workspace(cfg, sample_realizations(cfg, [0]))
+    alloc, bad = ws.first_pass(0.5)
+    assert bad[0]
+    eta = optimizer_module._tighten(ws, 0.5, np.array([0]), np.zeros((1, 2)), alloc)
+    np.testing.assert_allclose(eta, [[2.0, 0.0]])
+    for kept, fresh in zip(alloc, _two_sweep_allocate(0.5, eta)):
+        assert np.array_equal(kept, fresh)
+
+
 def _candidates(mu, eta, inv_density, density, pcut, weights):
     """Every candidate's power, x and metric, by the stationary-allocation formulas."""
     priced = np.einsum("sm,smk->sk", eta, weights)
@@ -568,10 +605,10 @@ def test_allocate_picks_the_argmax_winner(n, k, m):
                    (0.0, rng.exponential(1.0, (s, m)))][trial % 3]
         with np.errstate(divide="ignore"):
             pcut = 0.5 / (1.3 * gamma)
-        arrays = (gamma, 1.0 / density, density, pcut, weights)
+        arrays = (1.0 / density, density, pcut, weights)
         with np.errstate(invalid="ignore"):
             winner, p_sel, x_sel, interference = optimizer_module._allocate(mu, eta, *arrays)
-        power, x, metric = _candidates(mu, eta, *arrays[1:])
+        power, x, metric = _candidates(mu, eta, *arrays)
         cols = np.arange(k)
         for state in range(s):
             users = np.argmax(assign_subcarriers(metric[state]), axis=0)
@@ -626,9 +663,11 @@ def test_deferred_mu_zero_probe_matches_a_probe_run_first(noise_psd_dbm_hz):
       for ith in (1.0, 2.0, 10.0)],
     (imperfect_benchmark(), 100),
     (_wide_m2(rng_seed=6), 20),
+    (_binding_m2(), 60),
     *[(deterministic_benchmark(noise_psd_dbm_hz=noise, interference_limit_w=(0.05,),
                                total_power_w=100.0), 40) for noise in (-15.0, 10.0)],
-], ids=["ith1", "ith2", "ith10", "imperfect", "wide-m2", "mu0-15dbm", "mu0+10dbm"])
+], ids=["ith1", "ith2", "ith10", "imperfect", "wide-m2", "binding-m2", "mu0-15dbm",
+        "mu0+10dbm"])
 def test_reused_allocation_equals_a_fresh_pass(cfg, states):
     # the solve keeps the allocations its searches evaluated; one pass at the
     # final multipliers must give the same bytes

@@ -10,10 +10,8 @@ from scipy import integrate, stats
 from ofdma_underlay.errors import ShapeError
 from ofdma_underlay.presets import deterministic_benchmark
 from ofdma_underlay.sinr import (SinrDistribution, aggregate_gain_params,
-                                 gaussian_sum_params, reference_power,
-                                 reference_sinr, sample_sinr_mc,
+                                 gaussian_sum_params, sample_sinr_mc,
                                  sinr_distribution)
-from ofdma_underlay.channel import sample_realization
 
 UNIT_MEANS = np.ones((3, 64))
 
@@ -204,18 +202,6 @@ def test_batched_law_equals_per_link_laws():
                 link = dataclasses.replace(sinr_distribution(cfg, n, k, 0), agg_var=var)
                 assert np.array_equal(pdf[:, n, k], link.pdf(gamma[:, n, k]))
                 assert np.array_equal(survival[:, n, k], link.survival(gamma[:, n, k]))
-
-
-def test_reference_power_and_sinr_recompute():
-    cfg = deterministic_benchmark()
-    real = sample_realization(cfg, 3)
-    agg = real.aggregate_cross_power(0)
-    expected_p = min(cfg.total_power_w / cfg.num_subcarriers,
-                     cfg.interference_limit_w[0] / agg)
-    assert reference_power(cfg, agg, 0) == pytest.approx(expected_p, rel=1e-12)
-    gamma = reference_sinr(real, cfg, 1, 5, 0)
-    manual = real.direct_power[1, 5] * expected_p / cfg.total_noise_w
-    assert gamma == pytest.approx(manual, rel=1e-12)
 
 
 def test_monte_carlo_draws_sorted_and_reproducible():
