@@ -21,9 +21,8 @@ from .interference import (audit_deterministic, audit_probabilistic,
 from .modulation import (ber_bound, ber_exact, ber_slope, discretize_rate,
                          max_constellation)
 from .optimizer import (AllocationPolicy, DualState, PolicyBatch, SolveResult,
-                        assign_subcarriers, inner_interference_multiplier,
-                        per_link_lagrangian, selection_metric, solve_dual,
-                        waterfill_power)
+                        assign_subcarriers, per_link_lagrangian,
+                        selection_metric, solve_dual, waterfill_power)
 from .presets import PRESETS, get_preset
 from .sinr import (SinrDistribution, gaussian_sum_params, sample_sinr_mc,
                    sinr_distribution)
@@ -44,9 +43,8 @@ __all__ = [
     "audit_deterministic", "audit_probabilistic", "central_tail_approx",
     "composite_chisq", "surrogate_budget",
     "AllocationPolicy", "DualState", "PolicyBatch", "SolveResult",
-    "assign_subcarriers", "inner_interference_multiplier",
-    "per_link_lagrangian", "selection_metric", "solve_dual",
-    "waterfill_power",
+    "assign_subcarriers", "per_link_lagrangian", "selection_metric",
+    "solve_dual", "waterfill_power",
     "EvaluationReport", "run_experiment", "sweep",
     "PRESETS", "get_preset",
 ]

@@ -186,13 +186,13 @@ def _collision_mc(cfg: ScenarioConfig, batch, power_sel: np.ndarray,
 
 def run_experiment(cfg: ScenarioConfig, num_states: int, *,
                    max_iterations: int = 500, run_all_iterations: bool = False,
-                   audit_states: int = 32, audit_samples: int = 20000,
-                   collision_mc: bool = None) -> EvaluationReport:
+                   audit_states: int = 32,
+                   audit_samples: int = 20000) -> EvaluationReport:
     """Solve one scenario over ``num_states`` fading states and audit it.
 
-    ``collision_mc`` defaults to True for probabilistic constraints; set
-    False to skip the posterior resampling (the analytic column stays).
-    A zero power budget short-circuits to an all-zero report.
+    Probabilistic runs resample the ``audit_states`` analytically worst
+    states from the posterior (0 skips that audit; the analytic column
+    stays).  A zero power budget short-circuits to an all-zero report.
     """
     if num_states < 1:
         raise ConfigError("num_states must be >= 1")
@@ -215,14 +215,12 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
     violation = np.mean(true_interf > limits * (1.0 + 1e-6), axis=0)
 
     probabilistic = cfg.constraint_mode == "probabilistic"
-    if collision_mc is None:
-        collision_mc = probabilistic
     analytic = analytic_max = mc_max = mc_stderr = None
     audited = 0
     if probabilistic:
         analytic = _collision_analytic(cfg, batch, power_sel)
         analytic_max = [float(x) for x in np.max(analytic, axis=0)]
-        if collision_mc and audit_states > 0:
+        if audit_states > 0:
             # audit the analytically worst states; the fit ranks states,
             # it does not bound them
             order = np.argsort(np.max(analytic, axis=1))[::-1]

@@ -41,10 +41,8 @@ __all__ = [
     "InterferenceAudit",
     "CollisionAudit",
     "audit_deterministic",
-    "xi_mean",
     "xi_means",
     "alpha_weights",
-    "posterior_aggregate",
     "posterior_aggregate_params",
     "composite_chisq",
     "central_tail_approx",
@@ -89,13 +87,8 @@ def audit_deterministic(alloc, real: ChannelRealization,
                              violated=interference > limits)
 
 
-def xi_mean(post: PosteriorCrossStats, m: int, k: int) -> float:
-    """Noncentrality |posterior mean|^2 / posterior variance of one link."""
-    return float(xi_means(post)[m, k])
-
-
 def xi_means(post: PosteriorCrossStats) -> np.ndarray:
-    """All noncentralities at once, shaped like the posterior mean."""
+    """Noncentralities |posterior mean|^2 / posterior variance, shaped like the mean."""
     if post.variance <= 0.0:
         raise ValueError("posterior variance is zero: noncentrality undefined")
     mean = post.mean
@@ -105,11 +98,6 @@ def xi_means(post: PosteriorCrossStats) -> np.ndarray:
 def alpha_weights(post: PosteriorCrossStats) -> np.ndarray:
     """Certainty-equivalent interference weights var*(2 + mu_xi), like xi_means."""
     return post.variance * (2.0 + xi_means(post))
-
-
-def posterior_aggregate(post: PosteriorCrossStats) -> np.ndarray:
-    """Posterior mean of the aggregate cross gain per primary (sums alpha)."""
-    return np.sum(alpha_weights(post), axis=1)
 
 
 def posterior_aggregate_params(cfg: ScenarioConfig):

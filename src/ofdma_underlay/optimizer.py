@@ -52,8 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (BatchRealizations, ChannelRealization, posterior_stats,
-                      sample_realizations)
+from .channel import BatchRealizations, posterior_stats, sample_realizations
 from .config import ScenarioConfig
 from .errors import ConvergenceError, InfeasibleError, ShapeError
 from .interference import alpha_weights, enforced_budgets, posterior_aggregate_params
@@ -70,7 +69,6 @@ __all__ = [
     "per_link_lagrangian",
     "reference_cutoff",
     "assign_subcarriers",
-    "inner_interference_multiplier",
     "solve_dual",
 ]
 
@@ -512,25 +510,6 @@ def _dual_bound(ws: _Workspace, mu: float, eta: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # public entry points
-
-
-def inner_interference_multiplier(cfg: ScenarioConfig, real: ChannelRealization,
-                                  mu: float):
-    """Tight interference multiplier(s) of a single state at fixed mu.
-
-    Returns a float when the scenario has one primary receiver, else an
-    array with one multiplier per primary.
-    """
-    if mu < 0.0:
-        raise ValueError("mu must be >= 0")
-    batch = BatchRealizations(
-        direct_power=real.direct_power[None], cross_true=real.cross_true[None],
-        cross_est=real.cross_est[None], cross_err=real.cross_err[None],
-        streams=np.asarray([real.stream]))
-    ws = _Workspace(cfg, batch)
-    hint = np.zeros((1, cfg.num_primaries))
-    *_, eta = _solve_states(ws, mu, hint)
-    return float(eta[0, 0]) if cfg.num_primaries == 1 else eta[0]
 
 
 def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None,

@@ -10,9 +10,11 @@ across the band.  The reference SINR of user n on subcarrier k is
 
     gamma = |H_ss[n, k]|^2 * P_ref / (noise + primary interference).
 
-|H_ss|^2 is exponential.  N is a (noncentral) chi-square-type sum over
-2K real Gaussian components; for the closed forms it is approximated by
-a Normal matched to its exact first two moments,
+|H_ss|^2 is exponential.  N is a sum of squares of 2K real Gaussian
+components, so its exact law is the scaled noncentral chi-square
+var * chi'^2_{2K}(mu'); the Monte Carlo reference draws that law.  For
+the closed forms N is approximated by a Normal matched to its exact
+first two moments,
 
     mu_N  = var * (2K + mu'),   var_N = var^2 * (4K + 4 mu'),
     mu'   = sum_k |mean_k|^2 / var,
@@ -47,7 +49,6 @@ from .errors import ShapeError
 __all__ = [
     "SinrDistribution",
     "gaussian_sum_params",
-    "aggregate_gain_params",
     "sinr_distribution",
     "sample_sinr_mc",
 ]
@@ -73,13 +74,6 @@ def gaussian_sum_params(mean: complex, per_comp_var: float, count: int):
     mu = per_comp_var * (2.0 * count + noncentrality)
     var = per_comp_var ** 2 * (4.0 * count + 4.0 * noncentrality)
     return mu, var
-
-
-def aggregate_gain_params(cfg: ScenarioConfig, m: int):
-    """(mu_N, var_N) of the aggregate true cross-link gain toward primary m."""
-    if not 0 <= m < cfg.num_primaries:
-        raise ShapeError("primary index %d out of range" % m)
-    return gaussian_sum_params(cfg.cross_mean, cfg.cross_var, cfg.num_subcarriers)
 
 
 @dataclass(frozen=True)
@@ -223,7 +217,8 @@ def sinr_distribution(cfg: ScenarioConfig, n: int, k: int, m: int) -> SinrDistri
     if not (0 <= n < cfg.num_users and 0 <= k < cfg.num_subcarriers
             and 0 <= m < cfg.num_primaries):
         raise ShapeError("index out of range")
-    agg_mean, agg_var = aggregate_gain_params(cfg, m)
+    agg_mean, agg_var = gaussian_sum_params(cfg.cross_mean, cfg.cross_var,
+                                            cfg.num_subcarriers)
     return SinrDistribution(
         direct_mean=float(cfg.direct_gain_means[n, k]),
         agg_mean=agg_mean,
@@ -238,10 +233,10 @@ def sinr_distribution(cfg: ScenarioConfig, n: int, k: int, m: int) -> SinrDistri
 def sample_sinr_mc(cfg: ScenarioConfig, n: int, k: int, m: int, count: int) -> np.ndarray:
     """Sorted Monte Carlo draws of the reference SINR.
 
-    Draws only the marginals that enter the SINR (the direct gain of
-    (n, k) and the cross-link row of primary m), in fixed-size chunks, so
-    large counts stay in memory; a given (cfg, n, k, m, count) is
-    bit-reproducible.
+    Draws the direct gain of (n, k) and then the aggregate cross gain
+    toward primary m from its exact scaled noncentral chi-square law, not
+    from the Normal fit the closed form uses; a given (cfg, n, k, m, count)
+    is bit-reproducible.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -250,22 +245,15 @@ def sample_sinr_mc(cfg: ScenarioConfig, n: int, k: int, m: int, count: int) -> n
         raise ShapeError("index out of range")
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg.rng_seed, _MC_TAG, n, k, m)))
-    mean_x = float(cfg.direct_gain_means[n, k])
-    d_cross = math.sqrt(cfg.cross_var)
     kk = cfg.num_subcarriers
-    cap_power = cfg.total_power_w / kk
-    budget = cfg.interference_limit_w[m]
-    noise = cfg.total_noise_w
-
-    out = np.empty(count)
-    chunk = 1 << 16
-    for start in range(0, count, chunk):
-        size = min(chunk, count - start)
-        direct = rng.exponential(mean_x, size=size)
-        re = cfg.cross_mean.real + d_cross * rng.standard_normal((size, kk))
-        im = cfg.cross_mean.imag + d_cross * rng.standard_normal((size, kk))
-        agg = np.sum(re * re + im * im, axis=1)
-        p_ref = np.minimum(cap_power, budget / agg)
-        out[start:start + size] = direct * p_ref / noise
+    out = rng.exponential(float(cfg.direct_gain_means[n, k]), size=count)
+    # the aggregate cross gain, turned into P_ref in place
+    p_ref = rng.noncentral_chisquare(
+        2 * kk, kk * abs(cfg.cross_mean) ** 2 / cfg.cross_var, size=count)
+    p_ref *= cfg.cross_var
+    np.divide(cfg.interference_limit_w[m], p_ref, out=p_ref)
+    np.minimum(cfg.total_power_w / kk, p_ref, out=p_ref)
+    out *= p_ref
+    out /= cfg.total_noise_w
     out.sort()
     return out

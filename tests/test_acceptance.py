@@ -232,7 +232,7 @@ def test_criterion_08_collision_surrogate_soundness():
     ok = True
     for eps in epsilons:
         cfg = imperfect_benchmark(collision_limit=(eps,))
-        report = run_experiment(cfg, 600, collision_mc=False)
+        report = run_experiment(cfg, 600, audit_states=0)
         ases.append(report.ase)
         batch = sample_realizations(cfg, range(600))
         by_analytic = np.argsort(report.collision_analytic.max(axis=1))[::-1][:8]

@@ -140,7 +140,7 @@ def test_probabilistic_report_carries_collision_audits():
     assert 0.0 <= report.collision_mc_max[0] <= 1.0
     assert report.collision_mc_stderr >= 0.0
 
-    skipped = run_experiment(cfg, 60, collision_mc=False)
+    skipped = run_experiment(cfg, 60, audit_states=0)
     assert skipped.collision_mc_max is None
     assert skipped.collision_analytic_max is not None
 
@@ -238,7 +238,7 @@ def test_subcarrier_axis_casts_to_int():
 
 def test_epsilon_sweep_probabilistic_nondecreasing():
     cfg = _small_imperfect()
-    rows = sweep(cfg, "epsilon", [0.05, 0.2], 80, collision_mc=False)
+    rows = sweep(cfg, "epsilon", [0.05, 0.2], 80, audit_states=0)
     assert rows[0].collision_limit == [0.05]
     assert rows[1].collision_limit == [0.2]
     assert rows[1].ase >= rows[0].ase - (rows[0].ase_stderr + rows[1].ase_stderr)
@@ -301,7 +301,7 @@ def test_sweep_csv_shape_deterministic_mode():
 
 def test_sweep_csv_probabilistic_epsilon_column():
     cfg = _small_imperfect()
-    rows = sweep(cfg, "ith", [5.0], 40, collision_mc=False)
+    rows = sweep(cfg, "ith", [5.0], 40, audit_states=0)
     line = sweep_csv_rows([5.0], rows)[1]
     fields = line.split(",")
     assert fields[6] == format_float(min(rows[0].collision_limit))

@@ -13,9 +13,9 @@ from ofdma_underlay.interference import (_posterior_collisions, alpha_weights,
                                          audit_deterministic,
                                          audit_probabilistic,
                                          central_tail_approx, composite_chisq,
-                                         enforced_budgets, posterior_aggregate,
+                                         enforced_budgets,
                                          posterior_aggregate_params,
-                                         surrogate_budget, xi_mean, xi_means)
+                                         surrogate_budget, xi_means)
 from ofdma_underlay.optimizer import AllocationPolicy
 from ofdma_underlay.presets import deterministic_benchmark, imperfect_benchmark
 
@@ -94,22 +94,21 @@ def test_violated_is_strict():
 def test_noncentrality_values():
     post = PosteriorCrossStats(mean=np.array([[0.0 + 0.0j, 1.0 + 0.0j]]),
                                variance=1.0)
-    assert xi_mean(post, 0, 0) == 0.0
-    assert xi_mean(post, 0, 1) == pytest.approx(1.0)
+    assert xi_means(post)[0, 0] == 0.0
+    assert xi_means(post)[0, 1] == pytest.approx(1.0)
     # Fig. 6 style posterior: rho=0.5, estimate 0.4+0.3j, error variance 1
     scaled = PosteriorCrossStats(mean=np.array([[1.25 * (0.4 + 0.3j)]]),
                                  variance=0.75)
-    assert xi_mean(scaled, 0, 0) == pytest.approx(0.520833, abs=1e-6)
+    assert xi_means(scaled)[0, 0] == pytest.approx(0.520833, abs=1e-6)
     np.testing.assert_allclose(xi_means(scaled), [[0.5208333333]], rtol=1e-9)
     with pytest.raises(ValueError):
-        xi_mean(PosteriorCrossStats(mean=scaled.mean, variance=0.0), 0, 0)
+        xi_means(PosteriorCrossStats(mean=scaled.mean, variance=0.0))
 
 
 def test_alpha_weights_certainty_equivalent():
     post = PosteriorCrossStats(mean=np.array([[2.0 + 0.0j]]), variance=0.5)
     # E|H|^2 = |mean|^2 + 2 var = 4 + 1; alpha = var (2 + mu_xi) must agree
     assert alpha_weights(post)[0, 0] == pytest.approx(5.0)
-    assert posterior_aggregate(post)[0] == pytest.approx(5.0)
 
 
 def test_posterior_aggregate_params_match_sampling():

@@ -9,9 +9,8 @@ from scipy import integrate, stats
 
 from ofdma_underlay.errors import ShapeError
 from ofdma_underlay.presets import deterministic_benchmark
-from ofdma_underlay.sinr import (SinrDistribution, aggregate_gain_params,
-                                 gaussian_sum_params, sample_sinr_mc,
-                                 sinr_distribution)
+from ofdma_underlay.sinr import (SinrDistribution, gaussian_sum_params,
+                                 sample_sinr_mc, sinr_distribution)
 
 UNIT_MEANS = np.ones((3, 64))
 
@@ -85,6 +84,29 @@ def test_cdf_matches_monte_carlo_power_capped():
     empirical = np.searchsorted(draws, grid, side="right") / draws.size
     gap = np.max(np.abs(dist.cdf(grid) - empirical))
     assert gap <= 0.01
+
+
+def test_monte_carlo_draws_exact_aggregate_law_at_one_subcarrier():
+    # K = 1 (P_t / K = P_t) and unit direct means: the aggregate is
+    # var * chi'^2_2(|m|^2 / var), far from the Normal fit the closed form
+    # uses, so only a sampler of the exact law passes here
+    cfg = deterministic_benchmark(num_subcarriers=1, direct_gain_means=np.ones((3, 1)),
+                                  total_power_w=30.0, interference_limit_w=(2.0,))
+    agg = stats.ncx2(2, abs(cfg.cross_mean) ** 2 / cfg.cross_var, scale=cfg.cross_var)
+    switch = cfg.interference_limit_w[0] / cfg.total_power_w
+
+    def oracle_cdf(g):
+        def integrand(n):
+            p_ref = min(cfg.total_power_w, cfg.interference_limit_w[0] / n)
+            return -math.expm1(-g * cfg.total_noise_w / p_ref) * agg.pdf(n)
+        return (integrate.quad(integrand, 0.0, switch)[0]
+                + integrate.quad(integrand, switch, np.inf)[0])
+
+    draws = sample_sinr_mc(cfg, 0, 0, 0, 200_000)
+    grid = draws[(np.linspace(0.05, 0.95, 19) * (draws.size - 1)).astype(int)]
+    empirical = np.searchsorted(draws, grid, side="right") / draws.size
+    oracle = np.array([oracle_cdf(g) for g in grid])
+    assert np.max(np.abs(empirical - oracle)) <= 0.005
 
 
 def _central_grid(dist, lo_q=0.005, hi_q=0.995, points=50):
@@ -187,7 +209,8 @@ def test_survival_matches_quadrature_oracle(limit_w):
 
 def test_batched_law_equals_per_link_laws():
     cfg = deterministic_benchmark(interference_limit_w=(2.0,))
-    agg_mean, agg_var = aggregate_gain_params(cfg, 0)
+    agg_mean, agg_var = gaussian_sum_params(cfg.cross_mean, cfg.cross_var,
+                                            cfg.num_subcarriers)
     rng = np.random.default_rng(5)
     gamma = rng.exponential(3.0, size=(6, cfg.num_users, cfg.num_subcarriers))
     gamma[0] = 0.0
@@ -218,7 +241,7 @@ def test_index_validation():
     with pytest.raises(ShapeError):
         sinr_distribution(cfg, 3, 0, 0)
     with pytest.raises(ShapeError):
-        aggregate_gain_params(cfg, 1)
+        sinr_distribution(cfg, 0, 0, 1)
     with pytest.raises(ShapeError):
         sample_sinr_mc(cfg, 0, 64, 0, 100)
     with pytest.raises(ValueError):
