@@ -8,9 +8,8 @@ discrete adaptive MQAM, and a dual-decomposition allocator with a Monte
 Carlo evaluation harness around them.
 """
 
-from .channel import (BatchRealizations, ChannelRealization,
-                      PosteriorCrossStats, posterior_stats,
-                      sample_realization, sample_realizations)
+from .channel import (BatchRealizations, PosteriorCrossStats, posterior_stats,
+                      sample_realizations)
 from .config import ScenarioConfig, load_config, uniform_gain_means
 from .errors import (ConfigError, ConvergenceError, InfeasibleError,
                      ModeError, ShapeError)
@@ -20,9 +19,9 @@ from .interference import (audit_deterministic, audit_probabilistic,
                            surrogate_budget)
 from .modulation import (ber_bound, ber_exact, ber_slope, discretize_rate,
                          max_constellation)
-from .optimizer import (AllocationPolicy, DualState, PolicyBatch, SolveResult,
-                        assign_subcarriers, per_link_lagrangian,
-                        selection_metric, solve_dual, waterfill_power)
+from .optimizer import (DualState, PolicyBatch, SolveResult, assign_subcarriers,
+                        per_link_lagrangian, selection_metric, solve_dual,
+                        waterfill_power)
 from .presets import PRESETS, get_preset
 from .sinr import (SinrDistribution, gaussian_sum_params, sample_sinr_mc,
                    sinr_distribution)
@@ -32,8 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "ScenarioConfig", "load_config", "uniform_gain_means",
-    "BatchRealizations", "ChannelRealization", "PosteriorCrossStats",
-    "posterior_stats", "sample_realization", "sample_realizations",
+    "BatchRealizations", "PosteriorCrossStats", "posterior_stats",
+    "sample_realizations",
     "ConfigError", "ConvergenceError", "InfeasibleError", "ModeError",
     "ShapeError",
     "SinrDistribution", "gaussian_sum_params", "sample_sinr_mc",
@@ -42,7 +41,7 @@ __all__ = [
     "max_constellation",
     "audit_deterministic", "audit_probabilistic", "central_tail_approx",
     "composite_chisq", "surrogate_budget",
-    "AllocationPolicy", "DualState", "PolicyBatch", "SolveResult",
+    "DualState", "PolicyBatch", "SolveResult",
     "assign_subcarriers", "per_link_lagrangian", "selection_metric",
     "solve_dual", "waterfill_power",
     "EvaluationReport", "run_experiment", "sweep",

@@ -4,7 +4,8 @@ Direct secondary links are Rayleigh: the power gain |H_ss|^2 of user n on
 subcarrier k is exponential with the mean stored in the scenario config.
 Cross links toward primary receivers decompose as H_sp = Hhat + dH where
 the estimate Hhat (which carries the nonzero mean) and the error dH are
-correlated complex Gaussians; every variance is per real component.
+correlated complex Gaussians; every variance is per real component.  A
+batch keeps H_sp and Hhat; the error is their difference.
 
 Sampling is reproducible: realization s of a scenario seeded with r is
 drawn from ``default_rng(SeedSequence((r, s)))`` regardless of how many
@@ -22,54 +23,30 @@ from .config import ScenarioConfig
 from .errors import ModeError
 
 __all__ = [
-    "ChannelRealization",
     "BatchRealizations",
     "PosteriorCrossStats",
-    "sample_realization",
     "sample_realizations",
     "posterior_stats",
 ]
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """One fading state.
+class BatchRealizations:
+    """Fading states stacked along the first axis; row s is one state.
 
-    direct_power : (N, K) exponential power gains of the secondary links
-    cross_true   : (M, K) true cross-link coefficients
-    cross_est    : (M, K) estimates available at the transmitter
-    cross_err    : (M, K) estimation errors, cross_true - cross_est
-    stream       : realization index used for the RNG stream
+    direct_power : (S, N, K) exponential power gains of the secondary links
+    cross_true   : (S, M, K) true cross-link coefficients
+    cross_est    : (S, M, K) estimates available at the transmitter
+    streams      : (S,) realization index of each row's RNG stream
     """
 
     direct_power: np.ndarray
     cross_true: np.ndarray
     cross_est: np.ndarray
-    cross_err: np.ndarray
-    stream: int
-
-
-@dataclass(frozen=True)
-class BatchRealizations:
-    """Stacked realizations: direct_power (S, N, K), cross arrays (S, M, K)."""
-
-    direct_power: np.ndarray
-    cross_true: np.ndarray
-    cross_est: np.ndarray
-    cross_err: np.ndarray
     streams: np.ndarray
 
     def __len__(self) -> int:
         return self.direct_power.shape[0]
-
-    def state(self, index: int) -> ChannelRealization:
-        return ChannelRealization(
-            direct_power=self.direct_power[index],
-            cross_true=self.cross_true[index],
-            cross_est=self.cross_est[index],
-            cross_err=self.cross_err[index],
-            stream=int(self.streams[index]),
-        )
 
 
 @dataclass(frozen=True)
@@ -102,12 +79,7 @@ def _draw_state(cfg: ScenarioConfig, rng: np.random.Generator):
     est = cfg.cross_mean + d_est * (u[0] + 1j * u[1])
     mix = rho * u + math.sqrt(1.0 - rho * rho) * v
     err = d_err * (mix[0] + 1j * mix[1])
-    return direct, est + err, est, err
-
-
-def sample_realization(cfg: ScenarioConfig, stream: int) -> ChannelRealization:
-    """Draw the fading state for one realization index."""
-    return sample_realizations(cfg, [stream]).state(0)
+    return direct, est + err, est
 
 
 def sample_realizations(cfg: ScenarioConfig, streams) -> BatchRealizations:
@@ -118,14 +90,11 @@ def sample_realizations(cfg: ScenarioConfig, streams) -> BatchRealizations:
     direct = np.empty((s, n, k))
     true = np.empty((s, m, k), dtype=complex)
     est = np.empty((s, m, k), dtype=complex)
-    err = np.empty((s, m, k), dtype=complex)
     for i, stream in enumerate(streams):
-        direct[i], true[i], est[i], err[i] = _draw_state(
-            cfg, _stream_rng(cfg.rng_seed, stream))
+        direct[i], true[i], est[i] = _draw_state(cfg, _stream_rng(cfg.rng_seed, stream))
     if cfg.csi_mode == "perfect":
         est[:] = true
-        err[:] = 0.0
-    return BatchRealizations(direct, true, est, err, streams)
+    return BatchRealizations(direct, true, est, streams)
 
 
 def posterior_stats(cfg: ScenarioConfig, cross_est: np.ndarray) -> PosteriorCrossStats:

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``validate``   resolve a scenario (file, preset or defaults, plus
-  overrides) and echo the resolved key=value view.
+  overrides) and echo the resolved key=value view, which loads back
+  through ``--config`` as the same scenario.
 * ``run``        solve one scenario, print a summary; with ``--out DIR``
   also write ``report.json`` and the dual trace ``trace.csv`` there.
 * ``sweep``      rerun the experiment along one axis and write
@@ -168,11 +169,8 @@ def _cmd_validate(args) -> int:
     cfg = _resolve_config(args)
     raw = _raw_from_config(cfg)
     for key in sorted(raw):
-        value = raw[key]
-        if key == "direct_gain_means" and len(value) > 60:
-            value = value[:57] + "..."
-        print("%s = %s" % (key, value))
-    print("fingerprint = %s" % cfg.fingerprint())
+        print("%s = %s" % (key, raw[key]))
+    print("# fingerprint = %s" % cfg.fingerprint())
     return 0
 
 

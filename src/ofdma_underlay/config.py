@@ -17,6 +17,7 @@ separated, ``#`` starts a comment, unknown keys are rejected.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import hashlib
 import json
@@ -81,6 +82,14 @@ class ScenarioConfig:
             raise ConfigError("num_users, num_primaries and num_subcarriers must be >= 1")
         if not math.isfinite(self.total_power_w) or self.total_power_w < 0.0:
             raise ConfigError("total_power_w must be finite and >= 0")
+        finite = {name: getattr(self, name) for name in
+                  ("bandwidth_hz", "noise_psd_dbm_hz", "cross_var", "error_var")}
+        finite["cross_mean"] = complex(self.cross_mean)
+        if self.primary_interference_w is not None:
+            finite["primary_interference_w"] = self.primary_interference_w
+        for name, value in finite.items():
+            if not cmath.isfinite(value):
+                raise ConfigError("%s must be finite, got %r" % (name, value))
 
         limits = np.atleast_1d(np.asarray(self.interference_limit_w, dtype=float))
         if limits.size == 1:
@@ -96,8 +105,8 @@ class ScenarioConfig:
             eps = np.repeat(eps, self.num_primaries)
         if eps.size != self.num_primaries:
             raise ConfigError("collision_limit needs one entry per primary receiver")
-        if np.any(eps <= 0.0) or np.any(eps >= 1.0):
-            raise ConfigError("collision limits must lie strictly inside (0, 1)")
+        if not np.all((eps > 0.0) & (eps < 1.0)):
+            raise ConfigError("collision_limit entries must lie strictly inside (0, 1)")
         object.__setattr__(self, "collision_limit", tuple(float(v) for v in eps))
 
         if not 0.0 < self.ber_target < BER_TARGET_CEILING:

@@ -30,8 +30,8 @@ from scipy import special
 from .channel import posterior_stats, sample_realizations
 from .config import ScenarioConfig
 from .errors import ConfigError
-from .interference import (_AUDIT_TAG, _posterior_collisions, enforced_budgets,
-                           xi_means)
+from .interference import (_AUDIT_TAG, _posterior_collisions, audit_deterministic,
+                           enforced_budgets, xi_means)
 from .optimizer import SolveResult, solve_dual
 
 __all__ = [
@@ -209,8 +209,7 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
                         run_all_iterations=run_all_iterations)
     power_sel = result.policies.power                               # (S, K)
 
-    true_w = batch.cross_true.real ** 2 + batch.cross_true.imag ** 2
-    true_interf = np.einsum("sk,smk->sm", power_sel, true_w)
+    true_interf = audit_deterministic(power_sel, batch.cross_true)  # (S, M)
     limits = np.asarray(cfg.interference_limit_w)
     violation = np.mean(true_interf > limits * (1.0 + 1e-6), axis=0)
 

@@ -27,19 +27,16 @@ binds long before the power budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .channel import ChannelRealization, PosteriorCrossStats
+from .channel import PosteriorCrossStats
 from .config import ScenarioConfig
 from .errors import ShapeError
 from .sinr import gaussian_sum_params
 
 __all__ = [
-    "InterferenceAudit",
-    "CollisionAudit",
     "audit_deterministic",
     "xi_means",
     "alpha_weights",
@@ -54,37 +51,19 @@ __all__ = [
 _AUDIT_TAG = 0xA0D17
 
 
-@dataclass(frozen=True)
-class InterferenceAudit:
-    """Realized interference against each primary's limit."""
+def audit_deterministic(power, cross) -> np.ndarray:
+    """Realized interference sum_k P_k |H_mk|^2 at every primary receiver.
 
-    interference_w: np.ndarray
-    limit_w: np.ndarray
-    violated: np.ndarray
-
-
-@dataclass(frozen=True)
-class CollisionAudit:
-    """Monte Carlo exceedance estimate per primary."""
-
-    collision_prob: np.ndarray
-    stderr: np.ndarray
-    limit_w: np.ndarray
-    epsilon: np.ndarray
-    samples: int
-
-
-def audit_deterministic(alloc, real: ChannelRealization,
-                        cfg: ScenarioConfig) -> InterferenceAudit:
-    """Recompute sum_{n,k} phi P |H_sp|^2 for every primary receiver."""
-    power = np.sum(alloc.phi * alloc.power, axis=0)        # (K,) assigned power
-    gains = real.cross_true.real ** 2 + real.cross_true.imag ** 2
-    if gains.shape[1] != power.shape[0]:
-        raise ShapeError("allocation and realization disagree on num_subcarriers")
-    interference = gains @ power
-    limits = np.asarray(cfg.interference_limit_w)
-    return InterferenceAudit(interference_w=interference, limit_w=limits,
-                             violated=interference > limits)
+    ``power`` is the per-subcarrier transmit power (..., K) and ``cross``
+    the cross-link coefficients (..., M, K) with matching leading axes;
+    returns the (..., M) interference in watts.
+    """
+    power = np.asarray(power, dtype=float)
+    cross = np.asarray(cross)
+    if cross.ndim < 2 or power.shape[-1] != cross.shape[-1]:
+        raise ShapeError("power and cross links disagree on num_subcarriers")
+    gains = cross.real ** 2 + cross.imag ** 2
+    return np.einsum("...k,...mk->...m", power, gains)
 
 
 def xi_means(post: PosteriorCrossStats) -> np.ndarray:
@@ -208,27 +187,25 @@ def _posterior_collisions(rng, post: PosteriorCrossStats, power, limits, samples
     return hits / samples
 
 
-def audit_probabilistic(alloc, post: PosteriorCrossStats, cfg: ScenarioConfig,
-                        samples: int = 100_000, seed: int | None = None) -> CollisionAudit:
-    """Monte Carlo exceedance probability of an allocation under the posterior.
+def audit_probabilistic(power, post: PosteriorCrossStats, cfg: ScenarioConfig,
+                        samples: int = 100_000, seed: int | None = None):
+    """Monte Carlo exceedance probability of one state's power under the posterior.
 
-    Redraws the true cross links of the loaded subcarriers from the
-    posterior ``samples`` times (an unloaded link adds exactly 0 to the
-    interference, so it is not drawn), recomputes the received
-    interference, and returns the fraction above each primary's limit
-    together with its binomial standard error.
+    ``power`` is the (K,) per-subcarrier transmit power and ``post`` the
+    (M, K) posterior of that state's cross links.  Redraws the true cross
+    links of the loaded subcarriers ``samples`` times (an unloaded link
+    adds exactly 0 to the interference, so it is not drawn), recomputes
+    the received interference, and returns (prob, stderr): the (M,)
+    fraction above each primary's limit and its binomial standard error.
     """
     if samples < 10_000:
         raise ValueError("need >= 1e4 samples for a usable exceedance estimate")
-    power = np.sum(alloc.phi * alloc.power, axis=0)        # (K,)
-    if power.shape[0] != post.mean.shape[1]:
-        raise ShapeError("allocation and posterior disagree on num_subcarriers")
+    power = np.asarray(power, dtype=float)
+    if power.ndim != 1 or power.shape[0] != post.mean.shape[-1]:
+        raise ShapeError("power must be (K,) with the posterior's num_subcarriers")
     if seed is None:
         seed = cfg.rng_seed
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _AUDIT_TAG)))
     limits = np.asarray(cfg.interference_limit_w)
     prob = _posterior_collisions(rng, post, power, limits, samples)
-    stderr = np.sqrt(prob * (1.0 - prob) / samples)
-    eps = np.asarray(cfg.collision_limit, dtype=float)
-    return CollisionAudit(collision_prob=prob, stderr=stderr,
-                          limit_w=limits, epsilon=eps, samples=samples)
+    return prob, np.sqrt(prob * (1.0 - prob) / samples)

@@ -60,7 +60,6 @@ from .modulation import LN2, ber_slope, cutoff_threshold, discretize_rate
 from .sinr import SinrDistribution, gaussian_sum_params
 
 __all__ = [
-    "AllocationPolicy",
     "PolicyBatch",
     "DualState",
     "SolveResult",
@@ -149,21 +148,12 @@ def assign_subcarriers(metric: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AllocationPolicy:
-    """Dense per-state allocation: assignment, power, constellation, bits."""
-
-    phi: np.ndarray
-    power: np.ndarray
-    constellation: np.ndarray
-    bits: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class PolicyBatch:
     """Compact allocation for every solved state.
 
     user/power/x are (S, K): winning user index, transmit power, and
-    x = slope * gamma * P / P_ref of the winner (so constellation = 1 + x).
+    x = slope * gamma * P / P_ref of the winner (so constellation = 1 + x);
+    bits (S, K) holds the discrete bit loads, None in continuous mode.
     """
 
     num_users: int
@@ -174,22 +164,6 @@ class PolicyBatch:
 
     def __len__(self) -> int:
         return self.user.shape[0]
-
-    def state(self, index: int) -> AllocationPolicy:
-        k = self.user.shape[1]
-        n = self.num_users
-        phi = np.zeros((n, k))
-        phi[self.user[index], np.arange(k)] = 1.0
-        power = np.zeros((n, k))
-        power[self.user[index], np.arange(k)] = self.power[index]
-        constellation = np.ones((n, k))
-        constellation[self.user[index], np.arange(k)] = 1.0 + self.x[index]
-        bits = None
-        if self.bits is not None:
-            bits = np.zeros((n, k), dtype=int)
-            bits[self.user[index], np.arange(k)] = self.bits[index]
-        return AllocationPolicy(phi=phi, power=power, constellation=constellation,
-                                bits=bits)
 
 
 @dataclass
@@ -234,7 +208,7 @@ class _Workspace:
     """Per-solve precomputed arrays shared by every dual iteration."""
 
     __slots__ = ("cfg", "count", "density", "inv_density", "pcut", "weights",
-                 "budgets", "p_ref", "streams", "evaluated", "solved")
+                 "budgets", "p_ref", "streams", "evaluated")
 
     def __init__(self, cfg: ScenarioConfig, batch: BatchRealizations):
         self.cfg = cfg
@@ -243,7 +217,6 @@ class _Workspace:
         self.count = s
         self.streams = np.asarray(batch.streams)
         self.evaluated = 0          # state-evaluations of _allocate so far
-        self.solved = None          # _solve_states at the warm start's mu
 
         if cfg.constraint_mode == "probabilistic":
             weights = alpha_weights(posterior_stats(cfg, batch.cross_est))  # (S, M, K)
@@ -458,41 +431,43 @@ class _SlackAtZero(Exception):
 def _warm_start_mu(ws: _Workspace, tol_w: float):
     """Initialize the power multiplier by a root search on the power gap.
 
-    Returns (mu0, eta) with |avg power - P_t| <= tol_w at mu0 (or mu0 on
-    the feasible side of a jump across that window), or 0 if P(0) <= P_t.
-    P(0) is probed before the first trial with states over budget, unless
-    a trial's power exceeded P_t + tol_w, as its states within budget at
-    eta = 0 already show.  ``ws.solved`` keeps the states solved at mu0,
-    with eta: the probe, or the latest trial within P_t + tol_w, which is
-    the root the search returns.
+    Returns (mu0, solved) with |avg power - P_t| <= tol_w at mu0 (or mu0
+    on the feasible side of a jump across that window), or 0 if
+    P(0) <= P_t.  P(0) is probed before the first trial with states over
+    budget, unless a trial's power exceeded P_t + tol_w, as its states
+    within budget at eta = 0 already show.  ``solved`` is
+    :func:`_solve_states` at mu0: the probe, or the latest trial within
+    P_t + tol_w, which is the root the search returns.
     """
     p_t = ws.cfg.total_power_w
     eta = np.zeros((ws.count, ws.cfg.num_primaries))
     unproven = True         # no trial has shown P(0) > P_t yet
+    kept = None             # the latest states solved within P_t + tol_w
 
     def power_at(mu, rows):
-        nonlocal eta, unproven
+        nonlocal eta, unproven, kept
         alloc, bad = first = ws.first_pass(float(mu[0]))
         unproven = unproven and np.sum(alloc[1][~bad]) / ws.count <= p_t + tol_w
         if unproven and np.any(bad):
             alloc = first = None            # free this pass before the probe
             probe = _solve_states(ws, 0.0, np.zeros_like(eta))
             if np.mean(np.sum(probe[1], axis=1)) <= p_t:
-                ws.solved = probe
+                kept = probe
                 raise _SlackAtZero
             eta, unproven = probe[4], False
         solved = _solve_states(ws, float(mu[0]), eta, first)
         eta, power = solved[4], np.mean(np.sum(solved[1], axis=1))
-        ws.solved = solved if power <= p_t + tol_w else ws.solved
+        kept = solved if power <= p_t + tol_w else kept
         return np.array([power])
 
     try:
-        mu = _find_root(power_at, np.array([ws.cfg.num_subcarriers / (p_t * LN2)]),
-                        p_t - tol_w, p_t + tol_w, np.ones(1, dtype=bool), ConvergenceError,
-                        lambda row: "cannot bracket the power multiplier: average power")
+        mu = float(_find_root(
+            power_at, np.array([ws.cfg.num_subcarriers / (p_t * LN2)]),
+            p_t - tol_w, p_t + tol_w, np.ones(1, dtype=bool), ConvergenceError,
+            lambda row: "cannot bracket the power multiplier: average power")[0])
     except _SlackAtZero:
-        return 0.0, ws.solved[4]
-    return float(mu[0]), ws.solved[4]
+        mu = 0.0
+    return mu, kept
 
 
 def _dual_bound(ws: _Workspace, mu: float, eta: np.ndarray) -> float:
@@ -538,13 +513,14 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
     p_t = cfg.total_power_w
 
     tol_w = _POWER_GAP_REL * p_t
-    mu, eta = _warm_start_mu(ws, 0.5 * tol_w)
+    mu, solved = _warm_start_mu(ws, 0.5 * tol_w)
     warm_evaluated = ws.evaluated
     trace = {"iter": [], "mu": [], "primal_ase": [], "dual_value": [],
              "power_gap": []}
     for t in range(1, max_iterations + 1):
-        solved, ws.solved = ws.solved, None
-        winner, p_sel, x_sel, interf, eta = solved or _solve_states(ws, mu, eta)
+        if t > 1:
+            solved = _solve_states(ws, mu, solved[4])
+        winner, p_sel, x_sel, interf, eta = solved
         avg_power = float(np.mean(np.sum(p_sel, axis=1)))
         gap = avg_power - p_t
         primal = float(np.mean(np.sum(np.log1p(x_sel), axis=1))) / LN2

@@ -1,11 +1,12 @@
 """Channel sampling: laws, correlation structure, reproducibility."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from ofdma_underlay.channel import (posterior_stats, sample_realization,
-                                    sample_realizations)
+from ofdma_underlay.channel import posterior_stats, sample_realizations
 from ofdma_underlay.errors import ModeError
 from ofdma_underlay.presets import deterministic_benchmark, imperfect_benchmark
 
@@ -19,33 +20,43 @@ def test_shapes_and_exact_reconstruction():
     cfg = imperfect_benchmark(num_subcarriers=16)
     batch = _pooled_draws(cfg, 50)
     assert batch.direct_power.shape == (50, 3, 16)
-    assert batch.cross_true.shape == (50, 1, 16)
-    # Hsp = Hhat + dH must hold exactly, not to rounding
-    np.testing.assert_array_equal(batch.cross_true,
-                                  batch.cross_est + batch.cross_err)
+    assert batch.cross_true.shape == batch.cross_est.shape == (50, 1, 16)
+    np.testing.assert_array_equal(batch.streams, np.arange(50))
     assert np.all(batch.direct_power >= 0.0)
+    # Hsp = Hhat + dH must hold exactly, not to rounding: redraw stream 3
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, 3)))
+    direct = rng.exponential(cfg.direct_gain_means, size=(3, 16))
+    u = rng.standard_normal((2, 1, 16))
+    v = rng.standard_normal((2, 1, 16))
+    rho = cfg.correlation
+    est = cfg.cross_mean + cfg.estimate_std * (u[0] + 1j * u[1])
+    mix = rho * u + math.sqrt(1.0 - rho * rho) * v
+    err = math.sqrt(cfg.error_var) * (mix[0] + 1j * mix[1])
+    np.testing.assert_array_equal(batch.direct_power[3], direct)
+    np.testing.assert_array_equal(batch.cross_est[3], est)
+    np.testing.assert_array_equal(batch.cross_true[3], est + err)
 
 
 def test_reproducibility_and_stream_independence():
     cfg = deterministic_benchmark()
-    one = sample_realization(cfg, 7)
-    two = sample_realization(cfg, 7)
+    one = sample_realizations(cfg, [7])
+    two = sample_realizations(cfg, [7])
     np.testing.assert_array_equal(one.direct_power, two.direct_power)
     np.testing.assert_array_equal(one.cross_true, two.cross_true)
-    other = sample_realization(cfg, 8)
+    other = sample_realizations(cfg, [8])
     assert not np.array_equal(one.direct_power, other.direct_power)
     # batch slicing matches standalone sampling of the same stream
     batch = sample_realizations(cfg, [5, 7, 9])
-    np.testing.assert_array_equal(batch.state(1).cross_true, one.cross_true)
+    np.testing.assert_array_equal(batch.cross_true[1], one.cross_true[0])
 
 
 def test_single_draw_matches_batch_row_in_imperfect_mode():
     cfg = imperfect_benchmark(num_subcarriers=16)
-    one = sample_realization(cfg, 7)
-    row = sample_realizations(cfg, [5, 7, 9]).state(1)
-    for name in ("direct_power", "cross_true", "cross_est", "cross_err"):
-        np.testing.assert_array_equal(getattr(one, name), getattr(row, name))
-    assert one.stream == row.stream == 7
+    one = sample_realizations(cfg, [7])
+    rows = sample_realizations(cfg, [5, 7, 9])
+    for name in ("direct_power", "cross_true", "cross_est"):
+        np.testing.assert_array_equal(getattr(one, name)[0], getattr(rows, name)[1])
+    assert one.streams[0] == rows.streams[1] == 7
 
 
 def test_direct_gain_exponential_law():
@@ -80,8 +91,8 @@ def test_imperfect_split_variances_and_correlation():
     cfg = imperfect_benchmark(num_subcarriers=64)
     batch = _pooled_draws(cfg, 2000)
     est = batch.cross_est.reshape(-1)
-    err = batch.cross_err.reshape(-1)
     true = batch.cross_true.reshape(-1)
+    err = true - est
     assert abs(err.real.var() - cfg.error_var) < 0.02
     assert abs(est.real.var() - cfg.estimate_std ** 2) < 0.02
     # marginal of the sum keeps the configured total cross variance
@@ -92,9 +103,10 @@ def test_imperfect_split_variances_and_correlation():
 
 def test_perfect_mode_exposes_true_channel_as_estimate():
     cfg = deterministic_benchmark()
-    real = sample_realization(cfg, 0)
-    np.testing.assert_array_equal(real.cross_est, real.cross_true)
-    np.testing.assert_array_equal(real.cross_err, np.zeros_like(real.cross_err))
+    batch = sample_realizations(cfg, [0])
+    np.testing.assert_array_equal(batch.cross_est, batch.cross_true)
+    np.testing.assert_array_equal(batch.cross_true - batch.cross_est,
+                                  np.zeros_like(batch.cross_true))
 
 
 def test_posterior_stats_formulas():

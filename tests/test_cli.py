@@ -7,6 +7,7 @@ import pytest
 
 import ofdma_underlay.cli as cli
 from ofdma_underlay.cli import main
+from ofdma_underlay.config import load_config
 from ofdma_underlay.errors import ConvergenceError, InfeasibleError
 
 SMALL_SCENARIO = """
@@ -51,6 +52,41 @@ def test_validate_overrides_and_seed(config_file, capsys):
     assert "rng_seed = 99" in out
     assert "total_power_w = 12" in out
     assert "rate_mode = discrete" in out
+
+
+def _validate_output(capsys, *args) -> str:
+    assert main(["validate", *args]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["preset", "explicit-matrix"])
+def test_validate_output_reloads_as_the_same_scenario(source, tmp_path, capsys):
+    if source == "preset":
+        args = ["--preset", "deterministic"]
+    else:
+        path = tmp_path / "explicit.cfg"
+        gains = ",".join("%.15g" % (0.1 + i / 7.0) for i in range(16))
+        path.write_text(SMALL_SCENARIO + "direct_gain_means = %s\n" % gains)
+        args = ["--config", str(path)]
+    first = _validate_output(capsys, *args)
+    dumped = tmp_path / "dumped.cfg"
+    dumped.write_text(first)
+    second = _validate_output(capsys, "--config", str(dumped))
+    assert second == first
+    fingerprint = first.splitlines()[-1]
+    assert fingerprint.startswith("# fingerprint = ")
+    assert load_config(str(dumped)).fingerprint() == fingerprint.split()[-1]
+    if source == "explicit-matrix":
+        line = [ln for ln in first.splitlines() if ln.startswith("direct_gain_means")]
+        assert len(line[0].split("=", 1)[1].split(",")) == 16
+
+
+def test_non_finite_config_value_exits_two(capsys):
+    rc = main(["run", "--preset", "deterministic", "--set", "cross_var=nan",
+               "--states", "20"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR 2:") and "cross_var" in err
 
 
 def test_config_and_preset_are_exclusive(config_file, capsys):

@@ -35,6 +35,23 @@ def test_positivity_validation():
         imperfect_benchmark(collision_limit=(1.0,))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, field", [
+    ("bandwidth_hz", "bandwidth_hz"),
+    ("noise_psd_dbm_hz", "noise_psd_dbm_hz"),
+    ("primary_interference_w", "primary_interference_w"),
+    ("cross_mean_re", "cross_mean"),
+    ("cross_mean_im", "cross_mean"),
+    ("cross_var", "cross_var"),
+    ("error_var", "error_var"),
+    ("collision_limit", "collision_limit"),
+])
+def test_non_finite_fields_are_rejected_by_name(key, field, value):
+    raw = apply_overrides(imperfect_benchmark().to_mapping(), ["%s=%s" % (key, value)])
+    with pytest.raises(ConfigError, match=field):
+        build_config(raw)
+
+
 def test_ber_target_bounds_name_the_envelope():
     # the exponential BER envelope has coefficient 0.3: targets at or
     # above it would flip the slope sign

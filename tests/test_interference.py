@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from ofdma_underlay.channel import (PosteriorCrossStats, posterior_stats,
-                                    sample_realization)
+                                    sample_realizations)
 from ofdma_underlay.errors import ShapeError
 from ofdma_underlay.interference import (_posterior_collisions, alpha_weights,
                                          audit_deterministic,
@@ -16,79 +16,64 @@ from ofdma_underlay.interference import (_posterior_collisions, alpha_weights,
                                          enforced_budgets,
                                          posterior_aggregate_params,
                                          surrogate_budget, xi_means)
-from ofdma_underlay.optimizer import AllocationPolicy
 from ofdma_underlay.presets import deterministic_benchmark, imperfect_benchmark
-
-
-def _alloc(phi, power):
-    phi = np.asarray(phi, dtype=float)
-    power = np.asarray(power, dtype=float)
-    return AllocationPolicy(phi=phi, power=power,
-                            constellation=np.ones_like(power))
 
 
 def test_audit_zero_power_never_violates():
     cfg = deterministic_benchmark(num_subcarriers=8)
-    real = sample_realization(cfg, 0)
-    alloc = _alloc(np.zeros((3, 8)), np.zeros((3, 8)))
-    audit = audit_deterministic(alloc, real, cfg)
-    np.testing.assert_array_equal(audit.interference_w, [0.0])
-    assert not audit.violated.any()
+    batch = sample_realizations(cfg, range(3))
+    interference = audit_deterministic(np.zeros((3, 8)), batch.cross_true)
+    np.testing.assert_array_equal(interference, np.zeros((3, 1)))
 
 
 def test_audit_single_term():
-    cfg = deterministic_benchmark(num_users=1, num_subcarriers=1,
-                                  interference_limit_w=(0.75,))
-    real = sample_realization(cfg, 0)
     gain = np.sqrt(0.5)  # |Hsp|^2 = 0.5
-    real = type(real)(direct_power=real.direct_power,
-                      cross_true=np.array([[gain + 0.0j]]),
-                      cross_est=np.array([[gain + 0.0j]]),
-                      cross_err=np.zeros((1, 1), dtype=complex),
-                      stream=0)
-    audit = audit_deterministic(_alloc([[1.0]], [[2.0]]), real, cfg)
-    assert audit.interference_w[0] == pytest.approx(1.0, rel=1e-15)
-    assert audit.violated[0]  # 1.0 W > 0.75 W, strict comparison
+    interference = audit_deterministic([2.0], [[gain + 0.0j]])
+    assert interference.shape == (1,)
+    assert interference[0] == pytest.approx(1.0, rel=1e-15)
+
+
+def _triple_loop(power, cross):
+    m, k = cross.shape
+    return [sum(power[i] * abs(cross[j, i]) ** 2 for i in range(k)) for j in range(m)]
 
 
 def test_audit_matches_triple_loop():
     cfg = deterministic_benchmark(num_primaries=2, num_subcarriers=16,
                                   interference_limit_w=(5.0,))
-    real = sample_realization(cfg, 4)
+    batch = sample_realizations(cfg, range(3, 7))
     rng = np.random.default_rng(0)
-    winner = rng.integers(0, 3, size=16)
-    phi = np.zeros((3, 16))
-    phi[winner, np.arange(16)] = 1.0
-    power = rng.uniform(0.0, 1.0, size=(3, 16)) * phi
-    audit = audit_deterministic(_alloc(phi, power), real, cfg)
-    for m in range(2):
-        total = 0.0
-        for n in range(3):
-            for k in range(16):
-                total += phi[n, k] * power[n, k] * abs(real.cross_true[m, k]) ** 2
-        assert audit.interference_w[m] == pytest.approx(total, rel=1e-12)
+    power = rng.uniform(0.0, 1.0, size=(4, 16)) * (rng.uniform(size=(4, 16)) < 0.7)
+    # one state's (K,) power against its (M, K) links
+    one = audit_deterministic(power[1], batch.cross_true[1])
+    assert one.shape == (2,)
+    for m, total in enumerate(_triple_loop(power[1], batch.cross_true[1])):
+        assert one[m] == pytest.approx(total, rel=1e-12)
+    # the (S, K) powers against the (S, M, K) batch, row by row
+    every = audit_deterministic(power, batch.cross_true)
+    assert every.shape == (4, 2)
+    for s in range(4):
+        for m, total in enumerate(_triple_loop(power[s], batch.cross_true[s])):
+            assert every[s, m] == pytest.approx(total, rel=1e-12)
+    np.testing.assert_array_equal(every[1], one)
 
 
 def test_audit_shape_mismatch():
     cfg = deterministic_benchmark(num_subcarriers=8)
-    real = sample_realization(cfg, 0)
+    batch = sample_realizations(cfg, [0])
     with pytest.raises(ShapeError):
-        audit_deterministic(_alloc(np.zeros((3, 4)), np.zeros((3, 4))), real, cfg)
+        audit_deterministic(np.zeros(4), batch.cross_true[0])
+    with pytest.raises(ShapeError):
+        audit_deterministic(np.zeros(8), batch.cross_true[0, 0])
 
 
 def test_violated_is_strict():
-    cfg = deterministic_benchmark(num_users=1, num_subcarriers=1,
-                                  interference_limit_w=(1.0,))
-    real = sample_realization(cfg, 0)
-    real = type(real)(direct_power=real.direct_power,
-                      cross_true=np.array([[1.0 + 0.0j]]),
-                      cross_est=np.array([[1.0 + 0.0j]]),
-                      cross_err=np.zeros((1, 1), dtype=complex),
-                      stream=0)
-    at_limit = audit_deterministic(_alloc([[1.0]], [[1.0]]), real, cfg)
-    assert not at_limit.violated[0]
-    above = audit_deterministic(_alloc([[1.0]], [[1.0 + 1e-9]]), real, cfg)
-    assert above.violated[0]
+    # a unit link at the limit audits to exactly the limit, so a strict
+    # comparison against the limit flags only power above it
+    at_limit = audit_deterministic([1.0], [[1.0 + 0.0j]])
+    assert at_limit[0] == 1.0
+    above = audit_deterministic([1.0 + 1e-9], [[1.0 + 0.0j]])
+    assert above[0] > 1.0
 
 
 def test_noncentrality_values():
@@ -231,41 +216,38 @@ def test_single_loaded_carrier_keeps_collision_limit(eps, delta):
 
 def test_probabilistic_audit_zero_power():
     cfg = imperfect_benchmark(num_subcarriers=4)
-    real = sample_realization(cfg, 0)
-    post = posterior_stats(cfg, real.cross_est)
-    alloc = _alloc(np.zeros((3, 4)), np.zeros((3, 4)))
-    audit = audit_probabilistic(alloc, post, cfg, samples=10_000)
-    assert audit.collision_prob[0] == 0.0
-    assert audit.samples == 10_000
+    post = posterior_stats(cfg, sample_realizations(cfg, [0]).cross_est[0])
+    prob, stderr = audit_probabilistic(np.zeros(4), post, cfg, samples=10_000)
+    np.testing.assert_array_equal(prob, [0.0])
+    np.testing.assert_array_equal(stderr, [0.0])
 
 
 def test_probabilistic_audit_forced_violation():
     cfg = imperfect_benchmark(num_users=1, num_subcarriers=1,
                               interference_limit_w=(1e-6,))
     post = PosteriorCrossStats(mean=np.array([[3.0 + 0.0j]]), variance=1e-8)
-    alloc = _alloc([[1.0]], [[5.0]])
-    audit = audit_probabilistic(alloc, post, cfg, samples=10_000)
-    assert audit.collision_prob[0] == pytest.approx(1.0)
+    prob, _ = audit_probabilistic([5.0], post, cfg, samples=10_000)
+    assert prob[0] == pytest.approx(1.0)
 
 
 def test_probabilistic_audit_sample_floor():
     cfg = imperfect_benchmark(num_subcarriers=4)
-    post = posterior_stats(cfg, sample_realization(cfg, 0).cross_est)
-    alloc = _alloc(np.zeros((3, 4)), np.zeros((3, 4)))
+    post = posterior_stats(cfg, sample_realizations(cfg, [0]).cross_est[0])
     with pytest.raises(ValueError):
-        audit_probabilistic(alloc, post, cfg, samples=9_999)
+        audit_probabilistic(np.zeros(4), post, cfg, samples=9_999)
+    with pytest.raises(ShapeError):
+        audit_probabilistic(np.zeros(8), post, cfg, samples=10_000)
+    with pytest.raises(ShapeError):
+        audit_probabilistic(np.zeros((1, 4)), post, cfg, samples=10_000)
 
 
 def test_probabilistic_audit_reproducible():
     cfg = imperfect_benchmark(num_subcarriers=8)
-    real = sample_realization(cfg, 2)
-    post = posterior_stats(cfg, real.cross_est)
-    phi = np.zeros((3, 8))
-    phi[0] = 1.0
-    alloc = _alloc(phi, phi * 0.3)
-    one = audit_probabilistic(alloc, post, cfg, samples=20_000)
-    two = audit_probabilistic(alloc, post, cfg, samples=20_000)
-    np.testing.assert_array_equal(one.collision_prob, two.collision_prob)
+    post = posterior_stats(cfg, sample_realizations(cfg, [2]).cross_est[0])
+    power = np.full(8, 0.3)
+    one = audit_probabilistic(power, post, cfg, samples=20_000)
+    two = audit_probabilistic(power, post, cfg, samples=20_000)
+    np.testing.assert_array_equal(one[0], two[0])
 
 
 class _CountingRng:
@@ -311,15 +293,14 @@ def test_posterior_collisions_one_loaded_link_is_ncx2():
     cfg = imperfect_benchmark()
     k = cfg.num_subcarriers
     post = _spread_posterior(1, k, cfg.posterior_var)
-    phi = np.zeros((cfg.num_users, k))
-    phi[1, 17] = 1.0
-    alloc = _alloc(phi, phi * 3.0)
-    audit = audit_probabilistic(alloc, post, cfg, samples=100_000, seed=3)
+    power = np.zeros(k)
+    power[17] = 3.0
+    prob, stderr = audit_probabilistic(power, post, cfg, samples=100_000, seed=3)
     exact = stats.ncx2.sf(cfg.interference_limit_w[0]
                           / (3.0 * cfg.posterior_var), 2,
                           xi_means(post)[0, 17])
     assert 0.05 < exact < 0.95
-    assert abs(audit.collision_prob[0] - exact) <= 3.0 * audit.stderr[0]
+    assert abs(prob[0] - exact) <= 3.0 * stderr[0]
 
 
 @pytest.mark.parametrize("loaded", [[], [6], [0, 3, 11, 63]])

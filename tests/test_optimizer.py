@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import ofdma_underlay.optimizer as optimizer_module
-from ofdma_underlay.channel import sample_realization, sample_realizations
+from ofdma_underlay.channel import sample_realizations
 from ofdma_underlay.config import build_config
 from ofdma_underlay.errors import ConvergenceError, InfeasibleError, ShapeError
 from ofdma_underlay.interference import audit_deterministic, surrogate_budget
 from ofdma_underlay.modulation import ALLOWED_BITS, LN2, ber_slope
 from ofdma_underlay.optimizer import (
-    AllocationPolicy,
     assign_subcarriers,
     per_link_lagrangian,
     reference_cutoff,
@@ -202,10 +201,11 @@ def test_kkt_perturbation_never_improves():
 # inner interference multiplier
 
 
-def _rebuild_allocation(cfg, real, mu, eta):
-    """Evaluate the stationary allocation through the public scalar pieces."""
+def _rebuild_power(cfg, real, mu, eta):
+    """(K,) power of the stationary allocation of ``real``'s one state,
+    evaluated through the public scalar pieces."""
     n, k = cfg.num_users, cfg.num_subcarriers
-    weights = real.cross_true.real ** 2 + real.cross_true.imag ** 2
+    weights = real.cross_true[0].real ** 2 + real.cross_true[0].imag ** 2
     n_ref = weights.sum()
     p_ref = min(cfg.total_power_w / k, cfg.interference_limit_w[0] / n_ref)
     slope = ber_slope(cfg.ber_target)
@@ -213,7 +213,7 @@ def _rebuild_allocation(cfg, real, mu, eta):
     metric = np.zeros((n, k))
     for idx_n in range(n):
         for idx_k in range(k):
-            g = real.direct_power[idx_n, idx_k] * p_ref / cfg.total_noise_w
+            g = real.direct_power[0, idx_n, idx_k] * p_ref / cfg.total_noise_w
             f = sinr_distribution(cfg, idx_n, idx_k, 0).pdf(g)
             w = weights[0, idx_k]
             power[idx_n, idx_k] = waterfill_power(g, float(f), mu, eta, w,
@@ -221,10 +221,7 @@ def _rebuild_allocation(cfg, real, mu, eta):
             metric[idx_n, idx_k] = selection_metric(g, float(f),
                                                     power[idx_n, idx_k],
                                                     slope, p_ref)
-    phi = assign_subcarriers(metric)
-    x = slope * power / p_ref  # gamma folded into power via the rebuild above
-    return AllocationPolicy(phi=phi, power=phi * power,
-                            constellation=1.0 + phi * x)
+    return np.sum(assign_subcarriers(metric) * power, axis=0)
 
 
 def _inner_eta(cfg, mu):
@@ -242,29 +239,29 @@ def test_inner_multiplier_slack_budget():
 def test_inner_multiplier_tightens_to_budget():
     mu = 0.02
     cfg0 = _cfg(interference_limit_w="1e9", total_power_w=0.8)
-    real = sample_realization(cfg0, 0)
-    slack = audit_deterministic(_rebuild_allocation(cfg0, real, mu, 0.0),
-                                real, cfg0)
-    half = float(slack.interference_w[0]) / 2.0
+    real = sample_realizations(cfg0, [0])
+    slack = audit_deterministic(_rebuild_power(cfg0, real, mu, 0.0),
+                                real.cross_true[0])
+    half = float(slack[0]) / 2.0
     cfg = cfg0.with_updates(interference_limit_w=(half,))
     # keep the reference power on the P_t/K branch so the halved budget binds
     n_ref = float((real.cross_true.real ** 2 + real.cross_true.imag ** 2).sum())
     assert half > n_ref * cfg.total_power_w / cfg.num_subcarriers
     eta = _inner_eta(cfg, mu)
     assert eta > 0.0
-    audited = audit_deterministic(_rebuild_allocation(cfg, real, mu, eta),
-                                  real, cfg)
-    assert audited.interference_w[0] == pytest.approx(half, rel=2e-6)
+    audited = audit_deterministic(_rebuild_power(cfg, real, mu, eta),
+                                  real.cross_true[0])
+    assert audited[0] == pytest.approx(half, rel=2e-6)
 
 
 def test_inner_multiplier_tiny_budget():
     cfg = _cfg(interference_limit_w="1e-9", total_power_w=0.8)
-    real = sample_realization(cfg, 0)
+    real = sample_realizations(cfg, [0])
     eta = _inner_eta(cfg, 0.02)
     assert np.isfinite(eta) and eta > 0.0
-    audited = audit_deterministic(_rebuild_allocation(cfg, real, 0.02, eta),
-                                  real, cfg)
-    assert audited.interference_w[0] <= 1e-9 * (1.0 + 1e-6)
+    audited = audit_deterministic(_rebuild_power(cfg, real, 0.02, eta),
+                                  real.cross_true[0])
+    assert audited[0] <= 1e-9 * (1.0 + 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +380,8 @@ def test_nonconvergence_attaches_partial_result(monkeypatch):
                interference_limit_w="1e9")
     monkeypatch.setattr(
         optimizer_module, "_warm_start_mu",
-        lambda ws, tol: (50.0, np.zeros((ws.count, ws.cfg.num_primaries))))
+        lambda ws, tol: (50.0, optimizer_module._solve_states(
+            ws, 50.0, np.zeros((ws.count, ws.cfg.num_primaries)))))
     with pytest.raises(ConvergenceError) as excinfo:
         solve_dual(cfg, num_states=6, max_iterations=4)
     result = excinfo.value.result
@@ -397,23 +395,6 @@ def test_nonconvergence_attaches_partial_result(monkeypatch):
         predicted = max(trace["mu"][t - 1] + step * trace["power_gap"][t - 1], 0.0)
         assert trace["mu"][t] == pytest.approx(predicted, rel=1e-12)
     assert np.isfinite(result.ase)
-
-
-def test_policy_batch_state_densifies_one_state():
-    cfg = _cfg()
-    result = solve_dual(cfg, num_states=20)
-    policy = result.policies.state(0)
-    assert np.array_equal(np.unique(policy.phi), np.array([0.0, 1.0]))
-    assert np.all(policy.phi.sum(axis=0) == 1.0)
-    assert np.all((policy.power > 0.0) <= (policy.phi == 1.0))
-    cols = np.arange(cfg.num_subcarriers)
-    winners = result.policies.user[0]
-    assert np.array_equal(policy.power[winners, cols], result.policies.power[0])
-    assert np.allclose(policy.constellation[winners, cols],
-                       1.0 + result.policies.x[0])
-    losers = policy.phi == 0.0
-    assert np.all(policy.power[losers] == 0.0)
-    assert np.all(policy.constellation[losers] == 1.0)
 
 
 # ---------------------------------------------------------------------------
