@@ -165,6 +165,26 @@ class ScenarioConfig:
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
         object.__setattr__(self, "direct_gain_seed", int(self.direct_gain_seed))
 
+        # finite inputs can still overflow what the closed forms derive
+        try:
+            noise = self.total_noise_w
+        except OverflowError:                   # 10 ** (psd / 10) past the float range
+            noise = math.inf
+        if not math.isfinite(noise):
+            raise ConfigError("noise_psd_dbm_hz = %r over bandwidth_hz = %r gives a "
+                              "non-finite noise power"
+                              % (self.noise_psd_dbm_hz, self.bandwidth_hz))
+        # both modules import this one, so they can only load here
+        from .interference import posterior_aggregate_params
+        from .sinr import gaussian_sum_params
+        # the estimate's moments are bounded by the true link's (estimate_var <= cross_var)
+        moments = gaussian_sum_params(self.cross_mean, self.cross_var, self.num_subcarriers)
+        if self.csi_mode == "imperfect":
+            moments += posterior_aggregate_params(self)
+        if not all(math.isfinite(v) for v in moments):
+            raise ConfigError("cross_var = %r with cross_mean = %r gives non-finite "
+                              "aggregate cross-gain moments" % (self.cross_var, self.cross_mean))
+
     # -- derived quantities -------------------------------------------------
 
     @property

@@ -19,9 +19,11 @@ class ShapeError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Dual iteration did not meet its power-gap tolerance.
+    """An iteration stopped before it converged.
 
-    Carries the partially solved state so callers can inspect the trace.
+    Raised when the dual iteration misses its power-gap tolerance, carrying
+    the partially solved state so callers can inspect the trace, and when a
+    special function runs past its step cap (``result`` is None).
     """
 
     def __init__(self, message, result=None):

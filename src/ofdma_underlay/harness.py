@@ -25,8 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
+from ._special import gammaincc
 from .channel import posterior_stats, sample_realizations
 from .config import ScenarioConfig
 from .errors import ConfigError
@@ -158,7 +158,7 @@ def _collision_analytic(cfg: ScenarioConfig, batch, power_sel: np.ndarray):
         scale = var / (2.0 * mean)
         dof = 2.0 * mean * mean / var
         threshold = np.broadcast_to(limits, out.shape)[live] / scale
-        out[live] = special.gammaincc(dof / 2.0, threshold / 2.0)
+        out[live] = gammaincc(dof / 2.0, threshold / 2.0)
     return out
 
 

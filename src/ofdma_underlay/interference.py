@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
+from ._special import gammaincc
 from .channel import PosteriorCrossStats
 from .config import ScenarioConfig
 from .errors import ShapeError
@@ -126,7 +126,7 @@ def central_tail_approx(i_th: float, weight: float, delta: float, dof: int) -> f
     if weight <= 0.0:
         raise ValueError("weight must be positive")
     threshold = (i_th / weight) / (1.0 + delta / dof)
-    return float(special.gammaincc(dof / 2.0, threshold / 2.0))
+    return float(gammaincc(dof / 2.0, threshold / 2.0))
 
 
 def surrogate_budget(i_th: float, eps: float, k: int) -> float:

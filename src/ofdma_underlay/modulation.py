@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
+
+from ._special import erfc
 
 __all__ = [
     "ALLOWED_BITS",
@@ -51,7 +52,7 @@ def ber_exact(m_size: float, snr) -> float:
     if np.any(snr < 0.0):
         raise ValueError("SINR must be >= 0")
     q_arg = np.sqrt(3.0 * snr / (m_size - 1.0))
-    q_tail = 0.5 * special.erfc(q_arg / _SQRT2)
+    q_tail = 0.5 * erfc(q_arg / _SQRT2)
     ber = (4.0 / math.log2(m_size)) * (1.0 - 1.0 / math.sqrt(m_size)) * q_tail
     ber = np.clip(ber, 0.0, 1.0)
     return ber if ber.ndim else float(ber)

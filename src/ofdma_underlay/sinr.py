@@ -30,8 +30,13 @@ integrating the exponential direct gain gives the cdf
 with c = I K / P_t the point where the power cap switches from the total
 power to the interference budget.  Completing the square gives B(G) =
 exp(g0) Q(h) / Z, g0 = -b G mu_N + (b G std_N)^2 / 2, h = (c - mu_N +
-b G var_N) / std_N, Z the truncation mass; erfcx keeps exp(g0) Q(h) finite
-where Q underflows.  The pdf is the exact derivative of F.  The direct-gain
+b G var_N) / std_N, Z the truncation mass.  Both branches of Q(h) take one
+evaluation of the scaled complementary error function erfcx(z) =
+exp(z^2) erfc(z) at z = |h| / sqrt(2), by the numpy kernel in ``_special``
+after W. J. Cody, "Rational Chebyshev approximations for the error
+function", Math. Comp. 23 (1969): exp(g0) Q(h) = exp(g0 - h^2/2) erfcx(z) / 2
+stays finite where Q underflows (h >= 0), and Q(h) = 1 - exp(-z^2) erfcx(z) / 2
+for h < 0.  The pdf is the exact derivative of F.  The direct-gain
 mean may be an array, so one law serves every link of one primary.
 """
 
@@ -41,8 +46,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import _special
 from .config import ScenarioConfig
 from .errors import ShapeError
 
@@ -67,12 +72,13 @@ def gaussian_sum_params(mean: complex, per_comp_var: float, count: int):
     """
     if per_comp_var < 0.0:
         raise ValueError("per-component variance must be >= 0")
+    # products, not ** 2: a huge input overflows to inf instead of raising
+    mean_power = abs(mean) * abs(mean)
     if per_comp_var == 0.0:
-        power = abs(mean) ** 2 * count
-        return power, 0.0
-    noncentrality = count * (abs(mean) ** 2) / per_comp_var
+        return mean_power * count, 0.0
+    noncentrality = count * mean_power / per_comp_var
     mu = per_comp_var * (2.0 * count + noncentrality)
-    var = per_comp_var ** 2 * (4.0 * count + 4.0 * noncentrality)
+    var = per_comp_var * per_comp_var * (4.0 * count + 4.0 * noncentrality)
     return mu, var
 
 
@@ -136,13 +142,13 @@ class SinrDistribution:
     @property
     def _trunc_norm(self) -> float:
         # mass of the fitted Normal above zero (renormalization constant)
-        return special.ndtr(self.agg_mean / self._agg_std)
+        return _special.ndtr(self.agg_mean / self._agg_std)
 
     def _below_switch(self) -> float:
         """P(N <= c) under the zero-truncated Normal."""
         std = self._agg_std
-        lo = special.ndtr(-self.agg_mean / std)
-        hi = special.ndtr((self._cap_switch - self.agg_mean) / std)
+        lo = _special.ndtr(-self.agg_mean / std)
+        hi = _special.ndtr((self._cap_switch - self.agg_mean) / std)
         return (hi - lo) / self._trunc_norm
 
     def _branches(self, gamma):
@@ -156,13 +162,15 @@ class SinrDistribution:
         h = (c - mu + bg * var) / std
         # exp(g0 - h^2/2) collapses to a bounded expression:
         e_boundary = np.exp(-0.5 * ((c - mu) / std) ** 2 - ag)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the branch np.where discards may overflow for extreme h
-            eg_q = np.where(
-                h >= 0.0,
-                0.5 * e_boundary * special.erfcx(h / _SQRT2),
-                np.exp(np.minimum(g0, 0.0)) * 0.5 * special.erfc(h / _SQRT2),
-            )
+        z = np.abs(h) / _SQRT2
+        ex = _special.erfcx(z)
+        eg_q = 0.5 * e_boundary * ex
+        neg = h < 0.0
+        if np.any(neg):
+            # Q(h) = 1 - erfc(z) / 2 with erfc(z) = exp(-z^2) erfcx(z)
+            with np.errstate(over="ignore"):    # z * z for extreme h
+                q_neg = np.exp(np.minimum(g0, 0.0)) * (1.0 - 0.5 * np.exp(-z * z) * ex)
+            eg_q = np.where(neg, q_neg, eg_q)
         return np.exp(-ag), e_boundary, eg_q
 
     @staticmethod

@@ -89,6 +89,17 @@ def test_non_finite_config_value_exits_two(capsys):
     assert err.startswith("ERROR 2:") and "cross_var" in err
 
 
+@pytest.mark.parametrize("override, field", [
+    ("cross_var=1e300", "cross_var"),               # the variance of the sum overflows
+    ("noise_psd_dbm_hz=4000", "noise_psd_dbm_hz"),  # 10 ** 400 W/Hz
+])
+def test_overflowing_config_value_exits_two(override, field, capsys):
+    rc = main(["run", "--preset", "deterministic", "--set", override, "--states", "20"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR 2:") and field in err
+
+
 def test_config_and_preset_are_exclusive(config_file, capsys):
     rc = main(["validate", "--config", config_file, "--preset", "deterministic"])
     assert rc == 2

@@ -52,6 +52,18 @@ def test_non_finite_fields_are_rejected_by_name(key, field, value):
         build_config(raw)
 
 
+@pytest.mark.parametrize("preset", [deterministic_benchmark, imperfect_benchmark])
+@pytest.mark.parametrize("key, value, field", [
+    ("noise_psd_dbm_hz", "4000", "noise_psd_dbm_hz"),
+    ("cross_var", "1e300", "cross_var"),
+    ("cross_mean_re", "1e200", "cross_mean"),
+])
+def test_overflowing_derived_quantities_are_rejected_by_name(preset, key, value, field):
+    raw = apply_overrides(preset().to_mapping(), ["%s=%s" % (key, value)])
+    with pytest.raises(ConfigError, match=field):
+        build_config(raw)
+
+
 def test_ber_target_bounds_name_the_envelope():
     # the exponential BER envelope has coefficient 0.3: targets at or
     # above it would flip the slope sign

@@ -1,7 +1,11 @@
-"""Every exported name resolves: no ``__all__`` entry outlives its definition."""
+"""Every exported name resolves, and importing the package pulls in no SciPy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,14 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_import_loads_no_scipy():
+    # the special functions are numpy code: SciPy stays a test-only dependency
+    src = str(Path(ofdma_underlay.__file__).resolve().parents[1])
+    probe = ("import sys, ofdma_underlay, ofdma_underlay.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
