@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,6 @@ from .errors import ConfigError
 RATE_MODES = ("continuous", "discrete")
 CSI_MODES = ("perfect", "imperfect")
 CONSTRAINT_MODES = ("deterministic", "probabilistic")
-GAIN_POLICIES = ("uniform", "explicit")
 
 # Upper bound below which the exponential BER envelope 0.3*exp(.) can be
 # inverted for a constellation size; targets at or above it are meaningless.
@@ -45,13 +45,17 @@ def uniform_gain_means(num_users: int, num_subcarriers: int, seed: int) -> np.nd
     return np.maximum(means, 1e-6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Full description of one allocation scenario.
 
     Power and interference quantities are in watts, bandwidth in hertz,
     noise PSD in dBm/Hz.  ``interference_limit_w`` and ``collision_limit``
-    hold one entry per primary receiver.
+    hold one entry per primary receiver; a single value serves every
+    primary.  The fields are the config keys (``cross_mean`` is written as
+    ``cross_mean_re`` and ``cross_mean_im``), each typed by
+    :func:`parse_value`.  Two configs are equal when their resolved
+    mappings are.
     """
 
     num_users: int = 3                      # N, secondary receivers
@@ -65,9 +69,11 @@ class ScenarioConfig:
     noise_psd_dbm_hz: float = -174.0        # receiver noise PSD
     primary_interference_w: float | None = None  # received primary power per subcarrier
                                             # (None: equal to thermal noise power)
-    direct_gain_policy: str = "uniform"     # how direct-link mean gains are produced
+    # "explicit" when direct_gain_means was passed, else "uniform": drawn
+    # from direct_gain_seed
+    direct_gain_policy: str = field(default="uniform", init=False)
     direct_gain_seed: int = 0               # seed for the uniform policy
-    direct_gain_means: np.ndarray | None = None  # (N, K) mean |H|^2, explicit policy
+    direct_gain_means: np.ndarray | None = None  # (N, K) mean |H|^2; one value fills it
     cross_mean: complex = 0.05 + 0.0j       # mean of the true cross-link coefficient
     cross_var: float = 0.1                  # per-component variance of the true link
     error_var: float = 0.0                  # per-component variance of the estimate error
@@ -78,36 +84,30 @@ class ScenarioConfig:
     rng_seed: int = 1
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):         # the lists go through _broadcast
+            if f.init and _CASTERS[f.name] is not _float_list:
+                object.__setattr__(self, f.name, parse_value(f.name, getattr(self, f.name)))
         if self.num_users < 1 or self.num_primaries < 1 or self.num_subcarriers < 1:
             raise ConfigError("num_users, num_primaries and num_subcarriers must be >= 1")
         if not math.isfinite(self.total_power_w) or self.total_power_w < 0.0:
             raise ConfigError("total_power_w must be finite and >= 0")
         finite = {name: getattr(self, name) for name in
-                  ("bandwidth_hz", "noise_psd_dbm_hz", "cross_var", "error_var")}
-        finite["cross_mean"] = complex(self.cross_mean)
+                  ("bandwidth_hz", "noise_psd_dbm_hz", "cross_var", "error_var",
+                   "cross_mean")}
         if self.primary_interference_w is not None:
             finite["primary_interference_w"] = self.primary_interference_w
         for name, value in finite.items():
             if not cmath.isfinite(value):
                 raise ConfigError("%s must be finite, got %r" % (name, value))
 
-        limits = np.atleast_1d(np.asarray(self.interference_limit_w, dtype=float))
-        if limits.size == 1:
-            limits = np.repeat(limits, self.num_primaries)
-        if limits.size != self.num_primaries:
-            raise ConfigError("interference_limit_w needs one entry per primary receiver")
+        limits = self._broadcast("interference_limit_w", ("num_primaries",))
         if np.any(limits <= 0.0) or not np.all(np.isfinite(limits)):
             raise ConfigError("interference limits must be positive and finite")
-        object.__setattr__(self, "interference_limit_w", tuple(float(v) for v in limits))
-
-        eps = np.atleast_1d(np.asarray(self.collision_limit, dtype=float))
-        if eps.size == 1:
-            eps = np.repeat(eps, self.num_primaries)
-        if eps.size != self.num_primaries:
-            raise ConfigError("collision_limit needs one entry per primary receiver")
+        eps = self._broadcast("collision_limit", ("num_primaries",))
         if not np.all((eps > 0.0) & (eps < 1.0)):
             raise ConfigError("collision_limit entries must lie strictly inside (0, 1)")
-        object.__setattr__(self, "collision_limit", tuple(float(v) for v in eps))
+        object.__setattr__(self, "interference_limit_w", tuple(limits.tolist()))
+        object.__setattr__(self, "collision_limit", tuple(eps.tolist()))
 
         if not 0.0 < self.ber_target < BER_TARGET_CEILING:
             raise ConfigError(
@@ -141,29 +141,17 @@ class ScenarioConfig:
         if self.csi_mode == "imperfect" and self.error_var == 0.0:
             raise ConfigError("imperfect CSI requires error_var > 0")
 
-        if self.direct_gain_policy not in GAIN_POLICIES:
-            raise ConfigError("direct_gain_policy must be one of %s" % (GAIN_POLICIES,))
-        if self.direct_gain_means is not None and self.direct_gain_policy == "uniform":
-            # an explicitly passed matrix always wins over the draw policy
-            object.__setattr__(self, "direct_gain_policy", "explicit")
-        if self.direct_gain_policy == "uniform":
+        if self.direct_gain_means is None:
             means = uniform_gain_means(self.num_users, self.num_subcarriers,
                                        self.direct_gain_seed)
         else:
-            if self.direct_gain_means is None:
-                raise ConfigError("explicit direct_gain_policy needs direct_gain_means")
-            means = np.asarray(self.direct_gain_means, dtype=float)
-            if means.shape != (self.num_users, self.num_subcarriers):
-                raise ConfigError(
-                    "direct_gain_means must have shape (num_users, num_subcarriers)")
+            object.__setattr__(self, "direct_gain_policy", "explicit")
+            means = self._broadcast("direct_gain_means", ("num_users", "num_subcarriers"))
             if np.any(means <= 0.0) or not np.all(np.isfinite(means)):
                 raise ConfigError("direct gain means must be positive and finite")
         means = means.copy()
         means.setflags(write=False)
         object.__setattr__(self, "direct_gain_means", means)
-        object.__setattr__(self, "cross_mean", complex(self.cross_mean))
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
-        object.__setattr__(self, "direct_gain_seed", int(self.direct_gain_seed))
 
         # finite inputs can still overflow what the closed forms derive
         try:
@@ -184,6 +172,28 @@ class ScenarioConfig:
         if not all(math.isfinite(v) for v in moments):
             raise ConfigError("cross_var = %r with cross_mean = %r gives non-finite "
                               "aggregate cross-gain moments" % (self.cross_var, self.cross_mean))
+
+    def _broadcast(self, name: str, dims: tuple) -> np.ndarray:
+        """Field ``name`` as a float array shaped by the ``dims`` fields; one value fills it."""
+        shape = tuple(getattr(self, dim) for dim in dims)
+        values = parse_value(name, getattr(self, name))
+        if values.size == 1:
+            return np.full(shape, values.item())
+        if values.ndim == 1 and values.size == math.prod(shape):
+            values = values.reshape(shape)
+        if values.shape != shape:
+            raise ConfigError("%s needs one value or %s = %s values, got %s"
+                              % (name, " x ".join(dims), " x ".join(map(str, shape)),
+                                 " x ".join(map(str, values.shape))))
+        return values
+
+    def __eq__(self, other):
+        if not isinstance(other, ScenarioConfig):
+            return NotImplemented
+        return self.to_mapping() == other.to_mapping()
+
+    def __hash__(self):
+        return hash(self.fingerprint())
 
     # -- derived quantities -------------------------------------------------
 
@@ -254,30 +264,37 @@ class ScenarioConfig:
 
     def to_mapping(self) -> dict:
         """JSON-serializable resolved view of the scenario."""
-        return {
-            "num_users": self.num_users,
-            "num_primaries": self.num_primaries,
-            "num_subcarriers": self.num_subcarriers,
-            "total_power_w": self.total_power_w,
-            "interference_limit_w": list(self.interference_limit_w),
-            "collision_limit": list(self.collision_limit),
-            "ber_target": self.ber_target,
-            "bandwidth_hz": self.bandwidth_hz,
-            "noise_psd_dbm_hz": self.noise_psd_dbm_hz,
-            "primary_interference_w": self.primary_interference_w,
-            "direct_gain_policy": self.direct_gain_policy,
-            "direct_gain_seed": self.direct_gain_seed,
-            "direct_gain_means": [[float(v) for v in row] for row in self.direct_gain_means],
-            "cross_mean_re": self.cross_mean.real,
-            "cross_mean_im": self.cross_mean.imag,
-            "cross_var": self.cross_var,
-            "error_var": self.error_var,
-            "correlation": self.correlation,
-            "rate_mode": self.rate_mode,
-            "csi_mode": self.csi_mode,
-            "constraint_mode": self.constraint_mode,
-            "rng_seed": self.rng_seed,
-        }
+        mapping = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name == "cross_mean":
+                mapping["cross_mean_re"], mapping["cross_mean_im"] = value.real, value.imag
+            elif isinstance(value, (tuple, np.ndarray)):
+                mapping[f.name] = np.asarray(value).tolist()
+            else:
+                mapping[f.name] = value
+        return mapping
+
+    def key_values(self) -> dict:
+        """The key = value text view that ``build_config`` reads back as this scenario.
+
+        Floats print with 17 significant digits, so they round-trip; a
+        uniform gain matrix prints as ``uniform``.
+        """
+        mapping = self.to_mapping()
+        if mapping.pop("direct_gain_policy") == "uniform":
+            mapping["direct_gain_means"] = "uniform"
+        view = {}
+        for key, value in mapping.items():
+            if value is None:
+                view[key] = "auto"
+            elif isinstance(value, list):
+                view[key] = ",".join("%.17g" % v for v in np.ravel(value))
+            elif isinstance(value, float):
+                view[key] = "%.17g" % value
+            else:
+                view[key] = str(value)
+        return view
 
     def fingerprint(self) -> str:
         """Stable hash of the resolved scenario including the seed."""
@@ -287,28 +304,51 @@ class ScenarioConfig:
 
 # -- flat key=value files ---------------------------------------------------
 
-_SCALAR_KEYS = {
-    "num_users": int,
-    "num_primaries": int,
-    "num_subcarriers": int,
-    "total_power_w": float,
-    "ber_target": float,
-    "bandwidth_hz": float,
-    "noise_psd_dbm_hz": float,
-    "direct_gain_seed": int,
-    "cross_mean_re": float,
-    "cross_mean_im": float,
-    "cross_var": float,
-    "error_var": float,
-    "correlation": float,
-    "rate_mode": str,
-    "csi_mode": str,
-    "constraint_mode": str,
-    "rng_seed": int,
-}
-_LIST_KEYS = {"interference_limit_w", "collision_limit"}
-_SPECIAL_KEYS = {"primary_interference_w", "direct_gain_means", "direct_gain_policy"}
-KNOWN_KEYS = set(_SCALAR_KEYS) | _LIST_KEYS | _SPECIAL_KEYS
+def _int(value) -> int:
+    try:
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        number = float(value)
+        if not number.is_integer():
+            raise ValueError("not an integer") from None
+        return int(number)
+
+
+def _float_list(value) -> np.ndarray:
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip()]
+    return np.asarray(value, dtype=float)
+
+
+_CASTERS = {f.name: _int if type(f.default) is int
+            else _float_list if isinstance(f.default, tuple) else type(f.default)
+            for f in dataclasses.fields(ScenarioConfig)}
+# the two fields whose None default means "derived", and the parts of cross_mean
+_CASTERS.update(primary_interference_w=float, direct_gain_means=_float_list,
+                cross_mean_re=float, cross_mean_im=float)
+_NONE_TEXT = {"primary_interference_w": "auto", "direct_gain_means": "uniform"}
+KNOWN_KEYS = frozenset(_CASTERS) - {"cross_mean"}
+
+
+def parse_value(key: str, value):
+    """Type one config value the way the ScenarioConfig field it sets holds it.
+
+    ``interference_limit_w``, ``collision_limit`` and ``direct_gain_means``
+    take a float list (comma-separated text, a number or a sequence) as a
+    float array.  ``primary_interference_w`` takes a float or ``auto`` and
+    ``direct_gain_means`` also ``uniform``, both read as None.  Every other
+    key takes its default's type (``cross_mean_re``/``_im`` a float), and
+    int keys reject non-integral values.
+    """
+    if key in _NONE_TEXT and (value is None or isinstance(value, str)
+                              and value == _NONE_TEXT[key]):
+        return None
+    caster = _CASTERS[key]
+    try:
+        return caster(value)
+    except (TypeError, ValueError):
+        raise ConfigError("%s: cannot parse %r as %s"
+                          % (key, value, caster.__name__.strip("_"))) from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -339,68 +379,25 @@ def apply_overrides(raw: dict, overrides) -> dict:
     return merged
 
 
-def _parse_float_list(key: str, value) -> tuple:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip() != ""]
-    elif np.isscalar(value):
-        parts = [value]
-    else:
-        parts = list(value)
-    try:
-        return tuple(float(part) for part in parts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("%s: %s" % (key, exc)) from None
-
-
 def build_config(raw: dict) -> ScenarioConfig:
-    """Turn a raw string mapping into a validated ScenarioConfig."""
+    """Turn a key = value mapping (text or typed values) into a validated ScenarioConfig."""
     unknown = sorted(set(raw) - KNOWN_KEYS)
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
-
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _SCALAR_KEYS:
-            caster = _SCALAR_KEYS[key]
-            try:
-                kwargs[key] = caster(value)
-            except ValueError:
-                raise ConfigError("%s: cannot parse %r as %s"
-                                  % (key, value, caster.__name__)) from None
-        elif key in _LIST_KEYS:
-            kwargs[key] = _parse_float_list(key, value)
-        elif key == "primary_interference_w":
-            kwargs[key] = None if value in (None, "auto") else float(value)
-
-    mean_re = kwargs.pop("cross_mean_re", None)
-    mean_im = kwargs.pop("cross_mean_im", None)
-    if mean_re is not None or mean_im is not None:
-        kwargs["cross_mean"] = complex(mean_re or 0.0, mean_im or 0.0)
-
-    gains = raw.get("direct_gain_means", "uniform")
-    policy = raw.get("direct_gain_policy")
+    kwargs = {key: parse_value(key, value) for key, value in raw.items()}
+    if "cross_mean_re" in kwargs or "cross_mean_im" in kwargs:
+        kwargs["cross_mean"] = complex(kwargs.pop("cross_mean_re", 0.0),
+                                       kwargs.pop("cross_mean_im", 0.0))
+    policy = kwargs.pop("direct_gain_policy", None)
     # a resolved mapping carries both the policy and the drawn matrix; the
     # uniform policy wins so the seed regenerates the identical matrix
-    if gains is None or (isinstance(gains, str) and gains == "uniform") \
-            or policy == "uniform":
-        kwargs["direct_gain_policy"] = "uniform"
-    else:
-        values = _parse_float_list("direct_gain_means",
-                                   np.asarray(gains).reshape(-1)
-                                   if not isinstance(gains, str) else gains)
-        n = kwargs.get("num_users", ScenarioConfig.num_users)
-        k = kwargs.get("num_subcarriers", ScenarioConfig.num_subcarriers)
-        if len(values) == 1:
-            matrix = np.full((n, k), values[0])
-        elif len(values) == n * k:
-            matrix = np.asarray(values).reshape(n, k)
-        else:
-            raise ConfigError("direct_gain_means needs 1 or num_users*num_subcarriers "
-                              "values, got %d" % len(values))
-        kwargs["direct_gain_policy"] = "explicit"
-        kwargs["direct_gain_means"] = matrix
-
-    return ScenarioConfig(**kwargs)
+    if policy == "uniform":
+        kwargs.pop("direct_gain_means", None)
+    cfg = ScenarioConfig(**kwargs)
+    if policy not in (None, cfg.direct_gain_policy):
+        raise ConfigError("direct_gain_policy must be explicit with direct_gain_means "
+                          "given, else uniform; got %r" % (policy,))
+    return cfg
 
 
 def load_config(path, overrides=None) -> ScenarioConfig:

@@ -22,13 +22,13 @@ import contextvars
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._special import gammaincc
 from .channel import posterior_stats, sample_realizations
-from .config import ScenarioConfig
+from .config import ScenarioConfig, parse_value
 from .errors import ConfigError
 from .interference import (_AUDIT_TAG, _posterior_collisions, audit_deterministic,
                            enforced_budgets, xi_means)
@@ -105,15 +105,8 @@ class EvaluationReport:
     collision_analytic: np.ndarray | None = field(default=None, repr=False)
 
     def to_mapping(self) -> dict:
-        keep = ("fingerprint", "csi_mode", "constraint_mode", "rate_mode",
-                "num_states", "total_power_w", "interference_limit_w",
-                "collision_limit", "ber_target", "ase", "ase_stderr",
-                "avg_power_w", "power_gap_w", "mu", "iterations", "converged",
-                "budgets_w", "enforced_interference_max",
-                "true_interference_mean", "true_interference_max",
-                "true_violation_rate", "collision_analytic_max",
-                "collision_mc_max", "collision_mc_stderr", "audited_states")
-        return {name: getattr(self, name) for name in keep}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("elapsed_s", "result", "collision_analytic")}
 
 
 def _zero_power_report(cfg: ScenarioConfig, num_states: int) -> EvaluationReport:
@@ -255,18 +248,10 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
 
 def _axis_update(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     field_name = SWEEP_AXES.get(axis, axis)
-    if field_name == "interference_limit_w":
-        return cfg.with_updates(
-            interference_limit_w=(float(value),) * cfg.num_primaries)
-    if field_name == "collision_limit":
-        return cfg.with_updates(
-            collision_limit=(float(value),) * cfg.num_primaries)
-    if field_name == "num_subcarriers":
-        return cfg.with_updates(num_subcarriers=int(value))
-    if field_name in ("total_power_w", "ber_target"):
-        return cfg.with_updates(**{field_name: float(value)})
-    raise ConfigError("unknown sweep axis %r (choices: %s)"
-                      % (axis, ", ".join(sorted(SWEEP_AXES))))
+    if field_name not in SWEEP_AXES.values():
+        raise ConfigError("unknown sweep axis %r (choices: %s)"
+                          % (axis, ", ".join(sorted(SWEEP_AXES))))
+    return cfg.with_updates(**{field_name: parse_value(field_name, value)})
 
 
 def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,

@@ -133,11 +133,15 @@ class SinrDistribution:
         return self._agg_std <= 1e-12 * self.agg_mean
 
     @property
+    def ref_power_w(self) -> float:
+        """P_ref = min(P_t / K, I / N) at the mean aggregate cross gain N."""
+        return min(self.total_power_w / self.num_subcarriers,
+                   self.budget_w / self.agg_mean)
+
+    @property
     def _point_rate(self):
         # point-mass aggregate: the SINR is exponential with a fixed cap
-        p_ref = min(self.total_power_w / self.num_subcarriers,
-                    self.budget_w / self.agg_mean)
-        return self.noise_w / (p_ref * self.direct_mean)
+        return self.noise_w / (self.ref_power_w * self.direct_mean)
 
     @property
     def _trunc_norm(self) -> float:
@@ -158,7 +162,6 @@ class SinrDistribution:
         std = self._agg_std
         c = self._cap_switch
         ag, bg = a * gamma, b * gamma
-        g0 = -bg * mu + 0.5 * (bg * std) ** 2
         h = (c - mu + bg * var) / std
         # exp(g0 - h^2/2) collapses to a bounded expression:
         e_boundary = np.exp(-0.5 * ((c - mu) / std) ** 2 - ag)
@@ -167,6 +170,9 @@ class SinrDistribution:
         eg_q = 0.5 * e_boundary * ex
         neg = h < 0.0
         if np.any(neg):
+            # bg * var < mu - c where h < 0, so g0 is finite there
+            bg = np.where(neg, bg, 0.0)
+            g0 = -bg * mu + 0.5 * (bg * std) ** 2
             # Q(h) = 1 - erfc(z) / 2 with erfc(z) = exp(-z^2) erfcx(z)
             with np.errstate(over="ignore"):    # z * z for extreme h
                 q_neg = np.exp(np.minimum(g0, 0.0)) * (1.0 - 0.5 * np.exp(-z * z) * ex)
@@ -209,14 +215,15 @@ class SinrDistribution:
         # derivatives of the power-capped and interference-capped branches
         term1 = a * e_a * self._below_switch()
         term2 = b * self._agg_std * e_boundary / _SQRT2PI
-        term3 = b * (self.agg_mean - b * gamma * self.agg_var) * eg_q
+        with np.errstate(invalid="ignore"):     # inf * 0 at gamma = inf
+            term3 = b * (self.agg_mean - b * gamma * self.agg_var) * eg_q
 
         dens = term1 + (term2 + term3) / self._trunc_norm
         low = float(np.min(dens)) if dens.size else 0.0
         if low < -1e-9:
             raise ValueError("pdf assembled a negative density %g; "
                              "closed form inconsistent" % low)
-        dens = np.maximum(dens, 0.0)
+        dens = np.fmax(dens, 0.0)               # fmax also takes that NaN to 0
         return dens if dens.ndim else float(dens)
 
 

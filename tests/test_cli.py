@@ -205,6 +205,16 @@ def test_sweep_rejects_bad_value_text(config_file, tmp_path, capsys):
     assert "comma-separated" in capsys.readouterr().err
 
 
+def test_sweep_rejects_non_integral_subcarrier_count(tmp_path, capsys):
+    rc = main(["sweep", "--preset", "deterministic", "--axis", "k",
+               "--values", "8,8.5,16", "--states", "20",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR 2:") and "num_subcarriers" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_dist_table_stdout_columns(config_file, capsys):
     rc = main(["dist-table", "--config", config_file, "--points", "50"])
     assert rc == 0

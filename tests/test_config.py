@@ -1,12 +1,15 @@
 """Scenario config construction, validation and the key=value schema."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofdma_underlay.config import (ScenarioConfig, apply_overrides,
-                                   build_config, load_config,
+from ofdma_underlay.config import (CONSTRAINT_MODES, RATE_MODES, ScenarioConfig,
+                                   apply_overrides, build_config, load_config,
                                    uniform_gain_means)
 from ofdma_underlay.errors import ConfigError
 from ofdma_underlay.presets import deterministic_benchmark, imperfect_benchmark
@@ -176,3 +179,77 @@ def test_apply_overrides_parses_typed_values():
     assert cfg.total_power_w == 12.0
     assert cfg.rate_mode == "discrete"
     assert cfg.interference_limit_w == (1.0, 2.0)
+
+
+def test_numeric_fields_hold_their_type_so_equal_scenarios_hash_alike():
+    as_int = deterministic_benchmark(total_power_w=30, rng_seed=1.0)
+    as_float = deterministic_benchmark(total_power_w=30.0)
+    assert type(as_int.total_power_w) is float and type(as_int.rng_seed) is int
+    assert as_int.fingerprint() == as_float.fingerprint()
+    assert json.dumps(as_int.to_mapping()) == json.dumps(as_float.to_mapping())
+    with pytest.raises(ConfigError, match="num_subcarriers"):
+        deterministic_benchmark(num_subcarriers=8.5)
+
+
+def test_equality_and_hash_follow_the_resolved_mapping():
+    cfg = deterministic_benchmark()
+    assert cfg == deterministic_benchmark()
+    assert hash(cfg) == hash(deterministic_benchmark(total_power_w=30))
+    assert cfg != deterministic_benchmark(rng_seed=2)
+    assert cfg != cfg.to_mapping()
+    assert len({cfg, deterministic_benchmark(), imperfect_benchmark()}) == 2
+
+
+def test_resizing_an_explicit_matrix_is_rejected():
+    cfg = deterministic_benchmark(direct_gain_means=np.ones((3, 64)))
+    assert cfg.direct_gain_policy == "explicit"
+    with pytest.raises(ConfigError, match="explicit direct_gain_means"):
+        cfg.with_updates(num_subcarriers=32)
+
+
+def test_one_direct_gain_value_fills_the_matrix():
+    cfg = build_config({"num_users": "2", "num_subcarriers": "5",
+                        "direct_gain_means": "0.7"})
+    assert cfg.direct_gain_policy == "explicit"
+    np.testing.assert_array_equal(cfg.direct_gain_means, np.full((2, 5), 0.7))
+    assert deterministic_benchmark(direct_gain_means=0.7) == \
+        deterministic_benchmark(direct_gain_means=np.full((3, 64), 0.7))
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios over both CSI and constraint modes, M = 1 to 3."""
+    def real(lo, hi):
+        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+    n, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    kwargs = dict(
+        num_users=n, num_primaries=m, num_subcarriers=k,
+        total_power_w=real(0.0, 100.0),
+        interference_limit_w=tuple(real(1e-3, 50.0) for _ in range(m)),
+        collision_limit=tuple(real(1e-3, 0.999) for _ in range(m)),
+        ber_target=real(1e-8, 0.29), bandwidth_hz=real(1e3, 1e8),
+        noise_psd_dbm_hz=real(-200.0, 0.0),
+        primary_interference_w=draw(st.none() | st.floats(0.0, 1.0)),
+        cross_mean=complex(real(-1.0, 1.0), real(-1.0, 1.0)),
+        cross_var=real(1e-3, 5.0),
+        rate_mode=draw(st.sampled_from(RATE_MODES)),
+        direct_gain_seed=draw(st.integers(0, 2 ** 32)),
+        rng_seed=draw(st.integers(0, 2 ** 63)))
+    if draw(st.booleans()):
+        kwargs.update(csi_mode="imperfect",
+                      error_var=real(1e-3, 1.0) * kwargs["cross_var"],
+                      correlation=real(0.0, 1.0),
+                      constraint_mode=draw(st.sampled_from(CONSTRAINT_MODES)))
+    if draw(st.booleans()):
+        kwargs["direct_gain_means"] = np.array(
+            [real(1e-3, 2.0) for _ in range(n * k)]).reshape(n, k)
+    return ScenarioConfig(**kwargs)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(scenarios())
+def test_key_value_view_and_mapping_rebuild_the_scenario(cfg):
+    for rebuilt in (build_config(cfg.key_values()), build_config(cfg.to_mapping())):
+        assert rebuilt == cfg
+        assert rebuilt.fingerprint() == cfg.fingerprint()

@@ -12,6 +12,7 @@ from ofdma_underlay.channel import posterior_stats, sample_realizations
 from ofdma_underlay.config import build_config
 from ofdma_underlay.errors import ConfigError
 from ofdma_underlay.harness import (
+    SWEEP_AXES,
     SWEEP_HEADER,
     TRACE_HEADER,
     _collision_analytic,
@@ -232,6 +233,11 @@ def test_subcarrier_axis_casts_to_int():
     assert rows[1].ase > rows[0].ase    # more subcarriers, more summed rate
 
 
+def test_subcarrier_axis_rejects_non_integral_values():
+    with pytest.raises(ConfigError, match="num_subcarriers"):
+        sweep(_cfg(), "k", [8, 8.5, 16], 30)
+
+
 def test_epsilon_sweep_probabilistic_nondecreasing():
     cfg = _small_imperfect()
     rows = sweep(cfg, "epsilon", [0.05, 0.2], 80, audit_states=0)
@@ -258,7 +264,9 @@ def test_sweep_draws_the_states_once(monkeypatch, threads):
 
     monkeypatch.setattr(harness_module, "sample_realizations", counting)
     cases = [(_cfg(), "ith", [0.5, 1.0, 2.0], {}),
-             (_small_imperfect(), "epsilon", [0.05, 0.2], {"audit_states": 4})]
+             (_small_imperfect(), "epsilon", [0.05, 0.2], {"audit_states": 4}),
+             (_cfg(), "pt", [4.0, 8.0], {}),
+             (_cfg(), "xi", [1e-3, 1e-2], {})]
     for cfg, axis, values, kwargs in cases:
         rows = sweep(cfg, axis, values, 60, threads=threads, **kwargs)
         assert len(draws) == 1
@@ -266,6 +274,9 @@ def test_sweep_draws_the_states_once(monkeypatch, threads):
         for array, copy in zip(vars(batch).values(), copies):
             assert array.tobytes() == copy.tobytes()
         for value, row in zip(values, rows):
+            updated = harness_module._axis_update(cfg, axis, value)
+            assert updated == cfg.with_updates(**{SWEEP_AXES[axis]: value})
+            assert row.fingerprint == updated.fingerprint()
             alone = run_experiment(harness_module._axis_update(cfg, axis, value), 60,
                                    **kwargs)
             draws.clear()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,20 @@ def test_density_growth_with_power_budget():
     }
     ratio = dists[30.0].pdf(10.0) / dists[20.0].pdf(10.0)
     assert 1.545 - 0.15 <= ratio <= 1.545 + 0.15
+
+
+def test_huge_and_infinite_sinr_reach_the_limits_without_warnings():
+    dist = SinrDistribution(direct_mean=1.0, agg_mean=1.0, agg_var=0.5, budget_w=2.0,
+                            total_power_w=30.0, noise_w=1.0, num_subcarriers=8)
+    gammas = [1e150, 1e160, 1e300, math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in gammas:
+            assert dist.cdf(gamma) == 1.0 and dist.pdf(gamma) == 0.0
+        # 0 sits in the h < 0 branch, so the array takes both branches
+        grid = np.array([0.0, *gammas])
+        np.testing.assert_array_equal(dist.cdf(grid), [dist.cdf(0.0), 1, 1, 1, 1])
+        np.testing.assert_array_equal(dist.pdf(grid), [dist.pdf(0.0), 0, 0, 0, 0])
 
 
 def test_degenerate_aggregate_is_plain_exponential():
