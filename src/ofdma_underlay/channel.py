@@ -65,35 +65,38 @@ def _stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(stream))))
 
 
-def _draw_state(cfg: ScenarioConfig, rng: np.random.Generator):
-    n, m, k = cfg.num_users, cfg.num_primaries, cfg.num_subcarriers
-    direct = rng.exponential(cfg.direct_gain_means, size=(n, k))
-
-    # Correlated estimate/error pair: dH mixes the estimate's standard
-    # normals with independent ones so that corr(Re Hhat, Re dH) = rho.
-    u = rng.standard_normal((2, m, k))
-    v = rng.standard_normal((2, m, k))
-    rho = cfg.correlation
-    d_est = cfg.estimate_std
-    d_err = math.sqrt(cfg.error_var)
-    est = cfg.cross_mean + d_est * (u[0] + 1j * u[1])
-    mix = rho * u + math.sqrt(1.0 - rho * rho) * v
-    err = d_err * (mix[0] + 1j * mix[1])
-    return direct, est + err, est
-
-
 def sample_realizations(cfg: ScenarioConfig, streams) -> BatchRealizations:
-    """Draw a batch of realizations for the given stream indices."""
+    """Draw a batch of realizations for the given stream indices.
+
+    Each stream draws, in order, the (N, K) standard exponentials of the
+    direct gains and two (2, M, K) blocks of standard normals: u for the
+    estimate's real and imaginary parts, and v, which mixes with u into the
+    error so that corr(Re Hhat, Re dH) = rho.  The scaling then runs once
+    on the whole batch.
+    """
     streams = np.asarray(list(streams), dtype=np.int64)
-    s = streams.size
     n, m, k = cfg.num_users, cfg.num_primaries, cfg.num_subcarriers
-    direct = np.empty((s, n, k))
-    true = np.empty((s, m, k), dtype=complex)
-    est = np.empty((s, m, k), dtype=complex)
+    direct = np.empty((streams.size, n, k))
+    est = np.empty((streams.size, m, k), dtype=complex)
+    true = np.empty_like(est)
+    normals = np.empty((streams.size, 2, 2, m, k))      # (state, u|v, re|im, M, K)
     for i, stream in enumerate(streams):
-        direct[i], true[i], est[i] = _draw_state(cfg, _stream_rng(cfg.rng_seed, stream))
+        rng = _stream_rng(cfg.rng_seed, stream)
+        rng.standard_exponential(out=direct[i])
+        rng.standard_normal(out=normals[i])
+    direct *= cfg.direct_gain_means
+    # in place, the same products as cross_mean + std (re + 1j im)
+    u, mix = normals[:, 0], normals[:, 1]
+    np.add(u[:, 0], np.multiply(1j, u[:, 1], out=est), out=est)
+    np.add(cfg.cross_mean, np.multiply(cfg.estimate_std, est, out=est), out=est)
+    rho = cfg.correlation
+    mix *= math.sqrt(1.0 - rho * rho)           # mix = rho u + sqrt(1 - rho^2) v
+    u *= rho
+    mix += u
+    np.add(mix[:, 0], np.multiply(1j, mix[:, 1], out=true), out=true)
+    np.add(est, np.multiply(math.sqrt(cfg.error_var), true, out=true), out=true)
     if cfg.csi_mode == "perfect":
-        est[:] = true
+        est[...] = true
     return BatchRealizations(direct, true, est, streams)
 
 

@@ -52,9 +52,12 @@ def _resolve_config(args) -> ScenarioConfig:
     if args.rate:
         overrides.append("rate_mode=%s" % args.rate)
     if args.config:
-        return load_config(args.config, overrides)
-    base = get_preset(args.preset) if args.preset else ScenarioConfig()
-    return build_config(apply_overrides(base.key_values(), overrides))
+        cfg = load_config(args.config, overrides)
+    else:
+        base = get_preset(args.preset) if args.preset else ScenarioConfig()
+        cfg = build_config(apply_overrides(base.key_values(), overrides))
+    cfg.check_solvable()
+    return cfg
 
 
 def _add_config_flags(sub):

@@ -89,6 +89,9 @@ class ScenarioConfig:
                 object.__setattr__(self, f.name, parse_value(f.name, getattr(self, f.name)))
         if self.num_users < 1 or self.num_primaries < 1 or self.num_subcarriers < 1:
             raise ConfigError("num_users, num_primaries and num_subcarriers must be >= 1")
+        for name in ("rng_seed", "direct_gain_seed"):     # numpy seeds are >= 0
+            if getattr(self, name) < 0:
+                raise ConfigError("%s must be >= 0, got %d" % (name, getattr(self, name)))
         if not math.isfinite(self.total_power_w) or self.total_power_w < 0.0:
             raise ConfigError("total_power_w must be finite and >= 0")
         finite = {name: getattr(self, name) for name in
@@ -172,6 +175,17 @@ class ScenarioConfig:
         if not all(math.isfinite(v) for v in moments):
             raise ConfigError("cross_var = %r with cross_mean = %r gives non-finite "
                               "aggregate cross-gain moments" % (self.cross_var, self.cross_mean))
+
+    def check_solvable(self) -> None:
+        """Raise ConfigError if every solve of this scenario must fail.
+
+        Probabilistic control divides by the posterior variance
+        (1 - correlation^2) error_var, which correlation = 1 makes 0.
+        """
+        if self.constraint_mode == "probabilistic" and self.posterior_var == 0.0:
+            raise ConfigError("correlation = %r leaves no posterior variance "
+                              "(1 - correlation^2) error_var for probabilistic control"
+                              % self.correlation)
 
     def _broadcast(self, name: str, dims: tuple) -> np.ndarray:
         """Field ``name`` as a float array shaped by the ``dims`` fields; one value fills it."""

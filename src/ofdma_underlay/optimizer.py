@@ -26,11 +26,20 @@ projected subgradient with step 1 / (P_t (10 + t)), stopping when the
 average-power gap is within 1e-3 P_t or the multiplier sits at zero with
 slack power.
 
+The root search steps along the line in (log x, log y) through its last
+two trials, the first step along a prior slope: about -1.5 for the
+interference against eta, and for the power against mu -0.5 once states
+bind and -1.5 before.  While a row has no bracket, each step aims 30 % of
+its length past the window, so one step usually brackets the root.
+
 The average power used is continuous and decreasing in mu, so the same root
-search on that gap initializes mu, down from K / (P_t ln2).  It probes mu = 0
-before the first trial with states to tighten, unless a trial has shown power
-above P_t: its states within budget at eta = 0 bound its power from below.
-The 1/t steps then hold the iterate; from a badly scaled start they would need
+search on that gap initializes mu, down from K / (P_t ln2).  A state within
+its budgets puts at most budget / (least weight) into the band, so when
+those bounds average to P_t or less, P(0) <= P_t and mu = 0 without a
+trial.  Otherwise mu = 0 is probed only once two trials with states to
+tighten have both kept the power within P_t; at binding points the second
+trial usually lands above P_t, which shows P(0) > P_t.  The 1/t steps
+then hold the iterate; from a badly scaled start they would need
 thousands of iterations, past the cap, to close a watt-sized gap.
 
 In deterministic mode the interference weights are the squared cross
@@ -71,9 +80,13 @@ __all__ = [
     "solve_dual",
 ]
 
-_ETA_DOUBLINGS = 60     # trials that may double a root's bracket
-_BISECT_STEPS = 90      # further trials that may narrow it
+_ETA_DOUBLINGS = 60     # a root search tries x up to start * 2^(this - 1)
+_BISECT_STEPS = 90      # further trials that may narrow the bracket
 _SECANT_STREAK = 3      # secant steps keeping one bracket end before a bisection
+_OVERSHOOT = 0.3        # share of a one-sided step aimed past the window
+_ETA_SLOPE = -1.5       # prior log-log slope of interference against eta
+_MU_SLOPE_BINDING = -0.5    # ... of power against mu once states bind,
+_MU_SLOPE_FREE = -1.5       # and before them (faster than 1 / mu)
 _TIGHT_REL = 1e-6
 _POWER_GAP_REL = 1e-3   # the outer loop stops at |avg power - P_t| <= this * P_t
 
@@ -207,7 +220,7 @@ class SolveResult:
 class _Workspace:
     """Per-solve precomputed arrays shared by every dual iteration."""
 
-    __slots__ = ("cfg", "count", "density", "inv_density", "pcut", "weights",
+    __slots__ = ("cfg", "count", "links", "density", "inv_density", "pcut", "weights",
                  "budgets", "p_ref", "streams", "evaluated")
 
     def __init__(self, cfg: ScenarioConfig, batch: BatchRealizations):
@@ -219,6 +232,7 @@ class _Workspace:
         self.evaluated = 0          # state-evaluations of _allocate so far
 
         if cfg.constraint_mode == "probabilistic":
+            cfg.check_solvable()
             weights = alpha_weights(posterior_stats(cfg, batch.cross_est))  # (S, M, K)
             agg_mean, agg_var = posterior_aggregate_params(cfg)
         else:
@@ -228,7 +242,6 @@ class _Workspace:
             agg_mean, agg_var = gaussian_sum_params(cfg.cross_mean, var_src, k)
 
         budgets = enforced_budgets(cfg)
-        self.weights = weights
         self.budgets = budgets
 
         n_ref = np.sum(weights, axis=2)                            # (S, M)
@@ -252,13 +265,26 @@ class _Workspace:
                 total_power_w=cfg.total_power_w, noise_w=noise,
                 num_subcarriers=k)
             density[mask] = dist.pdf(gamma[mask])
-        self.density = density
+        # the four per-link arrays side by side, so a trial on some rows
+        # gathers them at once; made after the pdf, whose temporaries set
+        # the peak memory of the workspace
+        self.links = np.empty((s, 3 * n + m, k))
+        self.inv_density, self.density, self.pcut, self.weights = self.split(self.links)
+        self.density[...] = density
+        self.weights[...] = weights
         with np.errstate(divide="ignore"):
-            self.inv_density = np.where(density > 1e-300, 1.0 / density, 1e300)
-            self.pcut = self.p_ref[:, None, None] / (ber_slope(cfg.ber_target) * gamma)
+            np.divide(1.0, density, out=self.inv_density)
+            np.copyto(self.inv_density, 1e300, where=~(density > 1e-300))
+            np.multiply(ber_slope(cfg.ber_target), gamma, out=self.pcut)
+            np.divide(self.p_ref[:, None, None], self.pcut, out=self.pcut)
+
+    def split(self, links):
+        """(inv_density, density, pcut, weights) views of stacked ``links`` rows."""
+        n = self.cfg.num_users
+        return links[:, :n], links[:, n:2 * n], links[:, 2 * n:3 * n], links[:, 3 * n:]
 
     def subset(self, idx=slice(None)):
-        return self.inv_density[idx], self.density[idx], self.pcut[idx], self.weights[idx]
+        return self.split(self.links[idx])
 
     def allocate(self, mu, eta, arrays):
         """:func:`_allocate` on ``subset`` arrays, counted in ``evaluated``."""
@@ -331,15 +357,14 @@ def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray, a
     and the eta = 0 trial the rows the search leaves at 0.  So ``alloc``
     always holds the allocation at the current ``eta``.
     """
-    sub = ws.subset(idx)
+    links = ws.links[idx]
     budgets = ws.budgets
     eta = np.zeros((idx.size, budgets.size))
 
     def interference(j, keep_below, eta_j, rows):
         trial = eta.copy() if rows is None else eta[rows]
         trial[:, j] = eta_j
-        arrays = sub if rows is None else tuple(a[rows] for a in sub)
-        part = ws.allocate(mu, trial, arrays)
+        part = ws.allocate(mu, trial, ws.split(links if rows is None else links[rows]))
         keep = part[3][:, j] <= keep_below
         at = idx[keep] if rows is None else idx[rows[keep]]
         for full, new in zip(alloc, part):
@@ -355,7 +380,7 @@ def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray, a
                 functools.partial(interference, j, budget), np.where(hint > 0.0, hint, 1.0),
                 budget * (1.0 - _TIGHT_REL), budget, at_zero > top, InfeasibleError,
                 lambda row: "no finite multiplier meets primary %d's budget at "
-                "state %d (stream %d)" % (j, idx[row], ws.streams[idx[row]]))
+                "state %d (stream %d)" % (j, idx[row], ws.streams[idx[row]]), _ETA_SLOPE)
         over = alloc[3][idx] > budgets * (1.0 + _TIGHT_REL)
         if not np.any(over):
             return eta
@@ -366,62 +391,89 @@ def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray, a
         % (idx[row], ws.streams[idx[row]], j, alloc[3][idx[row], j], budgets[j]))
 
 
-def _find_root(evaluate, start, y_lo, y_hi, active, error, where):
+def _find_root(evaluate, start, y_lo, y_hi, active, error, where, slope=-1.0):
     """Per-row x > 0 with y(x) in [y_lo, y_hi], for a y that falls with x.
 
     ``evaluate(x, rows)`` gives y at x for the listed rows, or all rows
     when ``rows`` is None.  Rows flagged ``active`` need y(0) > y_hi; the
-    rest return 0.  A row tries ``start``, doubles or halves it until y
-    crosses y_hi, then narrows the bracket by Illinois regula falsi in
-    (log x, log y), as y decays roughly as a power of x; after
-    _SECANT_STREAK steps keeping one end it bisects, which bounds the cost
-    of a jump in y.  It returns the least feasible x (y <= y_hi) once y is
-    in the window or the bracket is 1e-12 wide.  ``error`` names
-    ``where(row)`` and the bracket when _ETA_DOUBLINGS trials stay above.
+    rest return 0.  A row tries ``start``, then steps along the line in
+    (log x, log y) through its last two trials, or through its first trial
+    with slope ``slope``.  Until a row has a bracket, the step aims
+    _OVERSHOOT of its length past the window, so that one step usually
+    brackets the root; a row above the window at ``start`` doubles it
+    first, and where the line gives no step (y did not fall between the
+    trials) a row doubles or halves x.  Inside a bracket, a line that
+    leaves it gives way to Illinois regula falsi on the bracket ends; after
+    _SECANT_STREAK steps keeping one end the row bisects, which bounds the
+    cost of a jump in y.  It returns the least feasible x (y <= y_hi) once
+    y is in the window or the bracket is 1e-12 wide.  ``error`` names
+    ``where(row)`` and the bracket when a row is still above y_hi at
+    start * 2^(_ETA_DOUBLINGS - 1), the highest x it may try.
     """
     log_aim = math.log(0.5 * (y_lo + y_hi))
-    active = active.copy()
-    x = np.where(active, start, 0.0)
-    # bracket ends, log(y / aim) at each (Illinois-scaled), and the streak:
-    # +n when hi was replaced n times running, -n for lo
-    lo, hi, v_lo, v_hi, run = np.zeros((5, active.size))
-    hi[active] = np.inf
-    for _ in range(_ETA_DOUBLINGS + _BISECT_STEPS):
-        rows = np.flatnonzero(active)
+    out = np.zeros(active.size)             # the roots; inactive rows stay at 0
+    rows = np.flatnonzero(active)
+    # the active rows' state, one field per row of ``st``: the trial x, the
+    # bracket ends (0 and inf while open), log(y / aim) at the trial and at
+    # each end (Illinois-scaled), the streak (+n when hi was replaced n times
+    # running, -n for lo), the previous trial's log x and log(y / aim), and
+    # the highest x to try
+    st = np.zeros((10, rows.size))
+    st[0] = start[rows]
+    st[2] = np.inf
+    st[9] = st[0] * 2.0 ** (_ETA_DOUBLINGS - 1)
+    for trial in range(1, _ETA_DOUBLINGS + _BISECT_STEPS + 1):
         if rows.size == 0:
             break
-        xr, lo_r, hi_r, vl, vh, n = (a[rows] for a in (x, lo, hi, v_lo, v_hi, run))
+        x, lo, hi, v, vl, vh, n, up, vp, top = st
         if 2 * rows.size <= active.size:        # a gather copies the arrays
-            y = evaluate(xr, rows)
+            y = evaluate(x, rows)
         else:
-            y = evaluate(np.where(active, x, hi), None)[rows]
+            full = out.copy()
+            full[rows] = x
+            y = evaluate(full, None)[rows]
         feas = y <= y_hi
-        with np.errstate(divide="ignore"):
-            v = np.log(y) - log_aim
-        vl = np.where(feas & (n > 0), 0.5 * vl, vl)
-        vh = np.where(~feas & (n < 0), 0.5 * vh, vh)
-        n = np.where(feas, np.maximum(n, 0) + 1, np.minimum(n, 0) - 1)
-        n = np.where((lo_r > 0.0) & (hi_r < np.inf), n, 0)
-        hi_r, vh = np.where(feas, xr, hi_r), np.where(feas, v, vh)
-        lo_r, vl = np.where(feas, lo_r, xr), np.where(feas, vl, v)
-        lo[rows], hi[rows], v_lo[rows], v_hi[rows], run[rows] = lo_r, hi_r, vl, vh, n
+        infeas = ~feas
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.log(y, out=v)
+            v -= log_aim
+            np.multiply(vl, 0.5, out=vl, where=feas & (n > 0.0))
+            np.multiply(vh, 0.5, out=vh, where=infeas & (n < 0.0))
+            n *= (n > 0.0) == feas
+            n += feas
+            n -= infeas
+            n[(lo == 0.0) | (hi == np.inf)] = 0.0         # the streak starts in a bracket
+            np.copyto(st[2:6:3], st[0:6:3], where=feas)         # (hi, vh) = (x, v)
+            np.copyto(st[1:6:3], st[0:6:3], where=infeas)       # (lo, vl) = (x, v)
+            if (lo >= top).any():
+                pos = int(np.argmax(lo >= top))
+                raise error("%s: %.6g > %.6g after %d trials; final bracket [%.6g, inf)"
+                            % (where(rows[pos]), y[pos], y_hi, trial, lo[pos]))
+            narrow = (hi - lo <= 1e-12 * np.maximum(hi, 1.0)) & (hi < np.inf)
+            done = (feas & (y >= y_lo)) | narrow
 
-        narrow = (hi_r < np.inf) & (hi_r - lo_r <= 1e-12 * np.maximum(hi_r, 1.0))
-        active[rows[(feas & (y >= y_lo)) | narrow]] = False
-        stuck = lo_r >= start[rows] * 2.0 ** (_ETA_DOUBLINGS - 1)   # last doubling failed
-        if np.any(stuck):
-            pos = int(np.argmax(stuck))
-            raise error("%s: %.6g > %.6g after %d trials; final bracket "
-                        "[%.6g, inf)" % (where(rows[pos]), y[pos], y_hi,
-                                         _ETA_DOUBLINGS, lo_r[pos]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u_lo, u_hi = np.log(lo_r), np.log(hi_r)
-            secant = u_hi - vh * (u_hi - u_lo) / (vh - vl)
-            use = (secant > u_lo) & (secant < u_hi) & (np.abs(n) < _SECANT_STREAK)
-            step = np.exp(np.where(use, secant, 0.5 * (u_lo + u_hi)))
-        x[rows] = np.where(hi_r == np.inf, 2.0 * lo_r,
-                           np.where(lo_r == 0.0, 0.5 * hi_r, step))
-    return hi
+            u, u_lo, u_hi = np.log(st[:3])
+            open_ = (lo == 0.0) | (hi == np.inf)
+            # every row makes its first trial together, at ``start``
+            inv = 1.0 / slope if trial == 1 else (u - up) / (v - vp)
+            line = u - (1.0 + _OVERSHOOT * open_) * v * inv
+            falsi = u_hi - vh * (u_hi - u_lo) / (vh - vl)
+            fresh = np.abs(n) < _SECANT_STREAK              # n is 0 on open rows
+            step = np.where((falsi > u_lo) & (falsi < u_hi) & fresh, falsi, 0.5 * (u_lo + u_hi))
+            step = np.exp(np.where((line > u_lo) & (line < u_hi) & fresh, line, step))
+        # an open row without a line step doubles or halves, and its first step up doubles
+        step = np.where(step == 0.0, 0.5 * hi, np.where(step == np.inf, 2.0 * lo, step))
+        if trial == 1:
+            step = np.where(feas, step, 2.0 * lo)
+        np.minimum(step, top, out=x)
+        up[:] = u
+        vp[:] = v
+        if done.any():
+            out[rows[done]] = hi[done]
+            keep = ~done
+            rows, st = rows[keep], st[:, keep]
+    out[rows] = st[2]
+    return out
 
 
 class _SlackAtZero(Exception):
@@ -433,38 +485,57 @@ def _warm_start_mu(ws: _Workspace, tol_w: float):
 
     Returns (mu0, solved) with |avg power - P_t| <= tol_w at mu0 (or mu0
     on the feasible side of a jump across that window), or 0 if
-    P(0) <= P_t.  P(0) is probed before the first trial with states over
-    budget, unless a trial's power exceeded P_t + tol_w, as its states
-    within budget at eta = 0 already show.  ``solved`` is
-    :func:`_solve_states` at mu0: the probe, or the latest trial within
-    P_t + tol_w, which is the root the search returns.
+    P(0) <= P_t.  That holds without a trial when the states' power bounds
+    under their budgets average to P_t or less.  Otherwise the search
+    starts at K / (P_t ln2), on the feasible side, with a prior slope of
+    -0.5 if that trial has states to tighten and -1.5 if not.  P(0) is
+    probed (from eta = 0) once two trials with states to tighten have both
+    kept the power within P_t; a trial above P_t shows that P(0) > P_t, so
+    binding points skip the probe.  ``solved`` is :func:`_solve_states` at
+    mu0: the probe, or the latest trial within P_t + tol_w, which is the
+    root the search returns.
     """
     p_t = ws.cfg.total_power_w
     eta = np.zeros((ws.count, ws.cfg.num_primaries))
-    unproven = True         # no trial has shown P(0) > P_t yet
+    # a state within its budgets puts at most budget / (least weight) into
+    # the band, so this bound on P(0) needs no trial at all
+    with np.errstate(divide="ignore"):
+        most = np.min(ws.budgets / np.min(ws.weights, axis=2), axis=1)
+    if np.mean(most) <= p_t:
+        return 0.0, _solve_states(ws, 0.0, eta)
+    mu0 = ws.cfg.num_subcarriers / (p_t * LN2)
+    first = ws.first_pass(mu0)
+    below = 0               # tightened trials within P_t; -1 once P(0) > P_t is shown
     kept = None             # the latest states solved within P_t + tol_w
 
     def power_at(mu, rows):
-        nonlocal eta, unproven, kept
-        alloc, bad = first = ws.first_pass(float(mu[0]))
-        unproven = unproven and np.sum(alloc[1][~bad]) / ws.count <= p_t + tol_w
-        if unproven and np.any(bad):
-            alloc = first = None            # free this pass before the probe
-            probe = _solve_states(ws, 0.0, np.zeros_like(eta))
-            if np.mean(np.sum(probe[1], axis=1)) <= p_t:
-                kept = probe
-                raise _SlackAtZero
-            eta, unproven = probe[4], False
-        solved = _solve_states(ws, float(mu[0]), eta, first)
+        nonlocal eta, first, below, kept
+        mu = float(mu[0])
+        trial, first = first or ws.first_pass(mu), None
+        tightened = np.any(trial[1])
+        solved = _solve_states(ws, mu, eta, trial)
         eta, power = solved[4], np.mean(np.sum(solved[1], axis=1))
         kept = solved if power <= p_t + tol_w else kept
+        if power > p_t:
+            below = -1
+        elif tightened and below >= 0:
+            below += 1
+            if below == 2:
+                trial = solved = None           # free these before the probe
+                probe = _solve_states(ws, 0.0, np.zeros_like(eta))
+                if np.mean(np.sum(probe[1], axis=1)) <= p_t:
+                    kept = probe
+                    raise _SlackAtZero
+                below = -1
         return np.array([power])
 
+    # P falls about as mu^-0.5 once states bind, and faster than 1 / mu before
+    slope = _MU_SLOPE_BINDING if np.any(first[1]) else _MU_SLOPE_FREE
     try:
         mu = float(_find_root(
-            power_at, np.array([ws.cfg.num_subcarriers / (p_t * LN2)]),
-            p_t - tol_w, p_t + tol_w, np.ones(1, dtype=bool), ConvergenceError,
-            lambda row: "cannot bracket the power multiplier: average power")[0])
+            power_at, np.array([mu0]), p_t - tol_w, p_t + tol_w, np.ones(1, dtype=bool),
+            ConvergenceError, lambda row: "cannot bracket the power multiplier: average power",
+            slope)[0])
     except _SlackAtZero:
         mu = 0.0
     return mu, kept

@@ -60,6 +60,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_Q_IS_ONE = 6.0     # z beyond which 1 - exp(-z^2) erfcx(z) / 2 rounds to 1.0
 _MC_TAG = 0x51E2  # namespaces the Monte Carlo stream away from realization streams
 
 
@@ -166,17 +167,22 @@ class SinrDistribution:
         # exp(g0 - h^2/2) collapses to a bounded expression:
         e_boundary = np.exp(-0.5 * ((c - mu) / std) ** 2 - ag)
         z = np.abs(h) / _SQRT2
-        ex = _special.erfcx(z)
-        eg_q = 0.5 * e_boundary * ex
         neg = h < 0.0
-        if np.any(neg):
-            # bg * var < mu - c where h < 0, so g0 is finite there
-            bg = np.where(neg, bg, 0.0)
-            g0 = -bg * mu + 0.5 * (bg * std) ** 2
-            # Q(h) = 1 - erfc(z) / 2 with erfc(z) = exp(-z^2) erfcx(z)
-            with np.errstate(over="ignore"):    # z * z for extreme h
-                q_neg = np.exp(np.minimum(g0, 0.0)) * (1.0 - 0.5 * np.exp(-z * z) * ex)
-            eg_q = np.where(neg, q_neg, eg_q)
+        if not np.any(neg):
+            ex = _special.erfcx(z)
+            return np.exp(-ag), e_boundary, 0.5 * e_boundary * ex
+        # bg * var < mu - c where h < 0, so g0 is finite there
+        bg = np.where(neg, bg, 0.0)
+        g0 = -bg * mu + 0.5 * (bg * std) ** 2
+        # Q(h) = 1 - erfc(z) / 2 with erfc(z) = exp(-z^2) erfcx(z); from z = 6
+        # on, exp(-z^2) erfcx(z) / 2 < 2^-54 and Q(h) rounds to exactly 1
+        q = np.ones_like(z)
+        near = neg & (z < _Q_IS_ONE)
+        zn = z[near]
+        q[near] = 1.0 - 0.5 * np.exp(-zn * zn) * _special.erfcx(zn)
+        eg_q = np.multiply(np.exp(np.minimum(g0, 0.0)), q, out=q)
+        pos = ~neg
+        eg_q[pos] = 0.5 * e_boundary[pos] * _special.erfcx(z[pos])
         return np.exp(-ag), e_boundary, eg_q
 
     @staticmethod

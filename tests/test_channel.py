@@ -129,3 +129,33 @@ def test_posterior_stats_rejects_perfect_mode():
     cfg = deterministic_benchmark()
     with pytest.raises(ModeError):
         posterior_stats(cfg, np.zeros((1, 64), dtype=complex))
+
+
+def _draw_one(cfg, stream):
+    """One state drawn on its own: the per-state reference for the batched sampler."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, stream)))
+    n, m, k = cfg.num_users, cfg.num_primaries, cfg.num_subcarriers
+    direct = rng.exponential(cfg.direct_gain_means, size=(n, k))
+    u = rng.standard_normal((2, m, k))
+    v = rng.standard_normal((2, m, k))
+    rho = cfg.correlation
+    est = cfg.cross_mean + cfg.estimate_std * (u[0] + 1j * u[1])
+    mix = rho * u + math.sqrt(1.0 - rho * rho) * v
+    true = est + math.sqrt(cfg.error_var) * (mix[0] + 1j * mix[1])
+    return direct, true, true if cfg.csi_mode == "perfect" else est
+
+
+@pytest.mark.parametrize("cfg", [
+    deterministic_benchmark(),
+    deterministic_benchmark(num_users=8, num_subcarriers=256, num_primaries=2),
+    imperfect_benchmark(),
+    imperfect_benchmark(correlation=0.6, num_primaries=3, num_subcarriers=5),
+], ids=["deterministic", "wide-m2", "imperfect", "imperfect-m3-rho"])
+def test_batch_equals_independent_per_state_draws(cfg):
+    streams = [9, 0, 31, 4, 2 ** 40]
+    batch = sample_realizations(cfg, streams)
+    for row, stream in enumerate(streams):
+        for got, want in zip((batch.direct_power, batch.cross_true, batch.cross_est),
+                             _draw_one(cfg, stream)):
+            assert got[row].tobytes() == want.tobytes()
+    assert batch.cross_est is not batch.cross_true

@@ -135,6 +135,20 @@ def test_probabilistic_mode_needs_imperfect_csi(config_file, capsys):
     assert capsys.readouterr().err.startswith("ERROR 2:")
 
 
+@pytest.mark.parametrize("args, key", [
+    (["validate", "--preset", "deterministic", "--seed", "-1"], "rng_seed"),
+    (["validate", "--preset", "deterministic", "--set", "direct_gain_seed=-1"],
+     "direct_gain_seed"),
+    (["validate", "--preset", "imperfect", "--set", "correlation=1"], "correlation"),
+], ids=["seed", "direct-gain-seed", "correlation"])
+def test_invalid_scenario_exits_two_naming_the_key(args, key, tmp_path, capsys):
+    assert main(args) == 2
+    assert main([args[0].replace("validate", "run"), *args[1:], "--states", "4",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("ERROR 2: " + key) for line in err)
+
+
 def test_run_writes_report_and_trace(config_file, tmp_path, capsys):
     out = tmp_path / "artifacts"
     rc = main(["run", "--config", config_file, "--states", "60",

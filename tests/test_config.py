@@ -12,6 +12,7 @@ from ofdma_underlay.config import (CONSTRAINT_MODES, RATE_MODES, ScenarioConfig,
                                    apply_overrides, build_config, load_config,
                                    uniform_gain_means)
 from ofdma_underlay.errors import ConfigError
+from ofdma_underlay.optimizer import solve_dual
 from ofdma_underlay.presets import deterministic_benchmark, imperfect_benchmark
 
 
@@ -253,3 +254,21 @@ def test_key_value_view_and_mapping_rebuild_the_scenario(cfg):
     for rebuilt in (build_config(cfg.key_values()), build_config(cfg.to_mapping())):
         assert rebuilt == cfg
         assert rebuilt.fingerprint() == cfg.fingerprint()
+
+
+@pytest.mark.parametrize("key", ["rng_seed", "direct_gain_seed"])
+def test_negative_seed_is_rejected_by_name(key):
+    with pytest.raises(ConfigError, match=r"^%s must be >= 0, got -1$" % key):
+        deterministic_benchmark(**{key: -1})
+    assert getattr(deterministic_benchmark(**{key: 0}), key) == 0
+
+
+def test_full_correlation_cannot_be_solved_under_probabilistic_control():
+    # the posterior variance (1 - rho^2) error_var is 0: no noncentrality
+    cfg = imperfect_benchmark(correlation=1.0)
+    assert cfg.posterior_var == 0.0
+    for check in (cfg.check_solvable, lambda: solve_dual(cfg, num_states=4)):
+        with pytest.raises(ConfigError, match="^correlation = 1.0 leaves no posterior variance"):
+            check()
+    imperfect_benchmark(correlation=1.0, constraint_mode="deterministic").check_solvable()
+    imperfect_benchmark(correlation=0.99).check_solvable()

@@ -1,6 +1,7 @@
 """Water-filling, assignment and dual-solve oracles."""
 
 import gc
+import math
 import re
 
 import numpy as np
@@ -693,3 +694,94 @@ def test_solve_leaves_no_reference_cycles():
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def test_work_counters_over_the_ith_sweep(monkeypatch):
+    # deterministic preset, seed 6, 60 states: the doubling/halving search with
+    # a mu = 0 probe first spent 192.68 passes and 318 _allocate calls here
+    calls = []
+    kernel = optimizer_module._allocate
+    monkeypatch.setattr(optimizer_module, "_allocate",
+                        lambda *args: calls.append(1) or kernel(*args))
+    passes = {}
+    for ith in (1.0, 2.0, 5.0, 10.0, 20.0):
+        dual = solve_dual(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
+                          num_states=60).dual
+        passes[ith] = dual.warm_start_passes + dual.iteration_passes
+    assert sum(passes.values()) <= 135.0
+    assert len(calls) <= 222
+    assert passes[10.0] <= 6.0 and passes[20.0] <= 6.0
+
+
+def test_find_root_brackets_a_power_law_in_one_step():
+    # along the exact slope a step lands _OVERSHOOT past the window, and the
+    # line through the two trials then hits the aim; from below, the first
+    # step doubles
+    aim = 1.0 - 5e-7
+    for exponent in (-1.5, -0.5):
+        for start, count in ((0.2, 4), (9.0, 3)):
+            trials = []
+
+            def evaluate(x, rows):
+                trials.append(float(x[0]))
+                return x ** exponent
+
+            x = optimizer_module._find_root(evaluate, np.array([start]), 1.0 - 1e-6, 1.0,
+                                            np.ones(1, dtype=bool), InfeasibleError, str,
+                                            exponent)
+            assert abs(x[0] ** exponent - aim) <= 5e-7
+            assert len(trials) == count
+            base = trials[-3]
+            past = base * math.exp(-(1.0 + optimizer_module._OVERSHOOT)
+                                   * math.log(base ** exponent / aim) / exponent)
+            assert trials[-2] == pytest.approx(past, rel=1e-12)
+            assert count == 3 or trials[1] == 2.0 * start
+
+
+def test_power_bounds_under_the_budgets_set_mu_zero_without_a_trial():
+    # each state puts at most budget / (least weight) into the band; on the
+    # imperfect preset those bounds average below P_t, so the solve is the probe
+    cfg = imperfect_benchmark()
+    batch = sample_realizations(cfg, range(100))
+    ws = optimizer_module._Workspace(cfg, batch)
+    bound = np.min(ws.budgets / np.min(ws.weights, axis=2), axis=1)
+    assert np.mean(bound) <= cfg.total_power_w
+    probe = optimizer_module._solve_states(ws, 0.0, np.zeros((100, 1)))
+    assert np.all(np.sum(probe[1], axis=1) <= bound * (1.0 + 1e-6))
+    result = solve_dual(cfg, batch)
+    assert result.dual.mu == 0.0 and result.dual.iteration_passes == 0.0
+    assert result.dual.warm_start_passes == ws.evaluated / 100
+    assert result.policies.power.tobytes() == probe[1].tobytes()
+
+
+def test_mu_zero_probe_waits_for_two_tightened_trials(monkeypatch):
+    # P(0) = 62.4 W <= P_t = 63 W, but the budget bounds average 63.6 W, so
+    # the probe runs only after two trials with states to tighten
+    cfg = deterministic_benchmark(noise_psd_dbm_hz=-15.0, interference_limit_w=(0.05,),
+                                  total_power_w=63.0)
+    batch = sample_realizations(cfg, range(40))
+    trials = []
+    solve_states = optimizer_module._solve_states
+    monkeypatch.setattr(optimizer_module, "_solve_states", lambda ws, mu, *rest: (
+        trials.append((mu, bool(np.any(ws.first_pass(mu)[1])) if mu > 0.0 else None))
+        or solve_states(ws, mu, *rest)))
+    result = solve_dual(cfg, batch)
+    assert result.dual.mu == 0.0 and result.dual.iteration_passes == 0.0
+    assert trials[-1][0] == 0.0 and all(mu > 0.0 for mu, _ in trials[:-1])
+    assert sum(tight for _, tight in trials[:-1]) == 2
+    ws = optimizer_module._Workspace(cfg, batch)
+    probe = solve_states(ws, 0.0, np.zeros((40, 1)))
+    assert result.policies.power.tobytes() == probe[1].tobytes()
+
+
+def test_binding_points_skip_the_mu_zero_probe(monkeypatch):
+    mus = []
+    solve_states = optimizer_module._solve_states
+    monkeypatch.setattr(optimizer_module, "_solve_states",
+                        lambda ws, mu, *rest: mus.append(mu) or solve_states(ws, mu, *rest))
+    for ith in (1.0, 2.0, 5.0):
+        mus.clear()
+        result = solve_dual(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
+                            num_states=60)
+        assert np.any(result.dual.eta > 0.0) and result.dual.mu > 0.0
+        assert 0.0 not in mus

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from ofdma_underlay import _special
 from ofdma_underlay.errors import ShapeError
 from ofdma_underlay.presets import deterministic_benchmark
 from ofdma_underlay.sinr import (SinrDistribution, gaussian_sum_params,
@@ -261,3 +262,37 @@ def test_index_validation():
         sample_sinr_mc(cfg, 0, 64, 0, 100)
     with pytest.raises(ValueError):
         sinr_distribution(cfg, 0, 0, 0).cdf(-1.0)
+
+
+def _full_branches(dist, gamma):
+    """SinrDistribution._branches with erfcx and exp(-z^2) on every element."""
+    mu, var, std, c = dist.agg_mean, dist.agg_var, math.sqrt(dist.agg_var), dist._cap_switch
+    ag, bg = dist._a * gamma, dist._b * gamma
+    h = (c - mu + bg * var) / std
+    e_boundary = np.exp(-0.5 * ((c - mu) / std) ** 2 - ag)
+    z = np.abs(h) / math.sqrt(2.0)
+    ex = _special.erfcx(z)
+    bg = np.where(h < 0.0, bg, 0.0)
+    g0 = -bg * mu + 0.5 * (bg * std) ** 2
+    q_neg = np.exp(np.minimum(g0, 0.0)) * (1.0 - 0.5 * np.exp(-z * z) * ex)
+    return np.exp(-ag), e_boundary, np.where(h < 0.0, q_neg, 0.5 * e_boundary * ex), h
+
+
+def test_q_factor_past_z_six_is_exactly_one():
+    # h < 0 with z = |h| / sqrt(2) >= 6 skips erfcx: 1 - exp(-z^2) erfcx(z) / 2
+    # rounds to 1 there, so the result must not move by a bit
+    dist = SinrDistribution(direct_mean=0.8, agg_mean=30.0, agg_var=3.0, budget_w=0.2,
+                            total_power_w=30.0, noise_w=0.3, num_subcarriers=8)
+    std = math.sqrt(dist.agg_var)
+    edge = 6.0 * math.sqrt(2.0)
+    h = np.concatenate([-edge + np.linspace(-1e-9, 1e-9, 41), np.linspace(-17.0, 17.0, 341)])
+    gamma = (h * std - dist._cap_switch + dist.agg_mean) / (dist._b * dist.agg_var)
+    *full, h = _full_branches(dist, gamma)
+    z = np.abs(h) / math.sqrt(2.0)
+    assert np.any((h < 0.0) & (z < 6.0) & (z > 6.0 - 1e-9))
+    assert np.any((h < 0.0) & (z >= 6.0) & (z < 6.0 + 1e-9))
+    for got, want in zip(dist._branches(gamma), full):
+        assert got.tobytes() == want.tobytes()
+    for x in (float(gamma[0]), float(gamma[-1])):      # scalar inputs take the same path
+        assert [float(v) for v in dist._branches(np.float64(x))] == \
+            [float(v) for v in _full_branches(dist, np.float64(x))[:3]]
