@@ -17,20 +17,26 @@ maximizing the selection metric
 
 ties to the lowest user index.  ``eta`` is found one primary at a time,
 sweeping the primaries cyclically until every budget holds, each by a
-bracketed log-log root search (:func:`_find_root`), warm-started from the
-last multipliers, until the realized budget use is tight to 1e-6 relative
-(or zero if slack); a state keeps the allocation of the trials that set
-its multipliers, and the first outer iteration takes the warm start's
-solved states, so no allocation is evaluated twice.  ``mu`` follows a
-projected subgradient with step 1 / (P_t (10 + t)), stopping when the
-average-power gap is within 1e-3 P_t or the multiplier sits at zero with
-slack power.
+bracketed root search (:func:`_find_root`), warm-started from the last
+multipliers, until the realized budget use is tight to 1e-6 relative (or
+zero if slack); a state keeps the allocation of the trials that set its
+multipliers, and the first outer iteration takes the warm start's solved
+states, so no allocation is evaluated twice.  ``mu`` follows a projected
+subgradient with step 1 / (P_t (10 + t)), stopping when the average-power
+gap is within 1e-3 P_t or the multiplier sits at zero with slack power.
 
-The root search steps along the line in (log x, log y) through its last
-two trials, the first step along a prior slope: about -1.5 for the
-interference against eta, and for the power against mu -0.5 once states
-bind and -1.5 before.  While a row has no bracket, each step aims 30 % of
-its length past the window, so one step usually brackets the root.
+With the winners of an eta trial fixed, a state's interference at primary
+j is G(e) = sum_k w_k [1 / (ln2 (b_k + e w_k / f_k)) - pcut_k]+, where b_k
+folds mu and the other primaries' prices together; G is convex and
+decreasing in e, so a few Newton steps on the trial's own (S, K) arrays
+find its root (:func:`_model_root`), and that root is the next trial.
+Only a winner switch moves the true root off the model's; the bracket's
+Illinois and bisection steps then take over.  Rows without a hint start
+at 1 and double first.  The ``mu`` search steps along the line in
+(log x, log y) through its last two trials, the first step along a prior
+slope of -0.5 once states bind and -1.5 before; while it has no bracket,
+each step aims 30 % of its length past the window, so one step usually
+brackets the root.
 
 The average power used is continuous and decreasing in mu, so the same root
 search on that gap initializes mu, down from K / (P_t ln2).  A state within
@@ -82,10 +88,10 @@ __all__ = [
 
 _ETA_DOUBLINGS = 60     # a root search tries x up to start * 2^(this - 1)
 _BISECT_STEPS = 90      # further trials that may narrow the bracket
-_SECANT_STREAK = 3      # secant steps keeping one bracket end before a bisection
+_SECANT_STREAK = 3      # steps keeping one bracket end before a bisection
 _OVERSHOOT = 0.3        # share of a one-sided step aimed past the window
-_ETA_SLOPE = -1.5       # prior log-log slope of interference against eta
-_MU_SLOPE_BINDING = -0.5    # ... of power against mu once states bind,
+_NEWTON_STEPS = 3       # Newton steps from an eta trial to its model's root
+_MU_SLOPE_BINDING = -0.5    # prior log-log slope of power against mu once states bind,
 _MU_SLOPE_FREE = -1.5       # and before them (faster than 1 / mu)
 _TIGHT_REL = 1e-6
 _POWER_GAP_REL = 1e-3   # the outer loop stops at |avg power - P_t| <= this * P_t
@@ -220,8 +226,8 @@ class SolveResult:
 class _Workspace:
     """Per-solve precomputed arrays shared by every dual iteration."""
 
-    __slots__ = ("cfg", "count", "links", "density", "inv_density", "pcut", "weights",
-                 "budgets", "p_ref", "streams", "evaluated")
+    __slots__ = ("cfg", "count", "links", "density", "inv_density", "pcut", "pcut_min",
+                 "weights", "budgets", "p_ref", "streams", "evaluated")
 
     def __init__(self, cfg: ScenarioConfig, batch: BatchRealizations):
         self.cfg = cfg
@@ -277,6 +283,7 @@ class _Workspace:
             np.copyto(self.inv_density, 1e300, where=~(density > 1e-300))
             np.multiply(ber_slope(cfg.ber_target), gamma, out=self.pcut)
             np.divide(self.p_ref[:, None, None], self.pcut, out=self.pcut)
+        self.pcut_min = np.min(self.pcut, axis=1)                  # (S, K)
 
     def split(self, links):
         """(inv_density, density, pcut, weights) views of stacked ``links`` rows."""
@@ -305,13 +312,16 @@ def _allocate(mu, eta, inv_density, density, pcut, weights):
     ties go to the lowest index, and NaN (the metric of an infinite x at a
     zero price, mu = 0 with no priced interference) is the maximum.
     """
-    priced = np.einsum("sm,smk->sk", eta, weights)                 # (S, K)
     with np.errstate(over="ignore", divide="ignore"):
-        power = np.multiply(priced[:, None, :], inv_density)       # (S, N, K)
-        power += mu                                                # the price
-        power *= LN2
-        np.divide(1.0, power, out=power)
-    power -= pcut
+        if eta.any():
+            priced = np.einsum("sm,smk->sk", eta, weights)         # (S, K)
+            power = np.multiply(priced[:, None, :], inv_density)   # (S, N, K)
+            power += mu                                            # the price
+            power *= LN2
+            np.divide(1.0, power, out=power)
+            power -= pcut
+        else:                   # every price is mu: one level for all links
+            power = np.divide(1.0, np.float64(mu) * LN2) - pcut
     np.maximum(power, 0.0, out=power)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = power / pcut        # NaN where power is NaN or 0 / 0, and x is 0 there
@@ -350,12 +360,15 @@ def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray, a
     ``alloc`` holds every state's allocation at eta = 0.  The primaries are
     swept cyclically, one root search each, until every budget holds
     (raising any multiplier only lowers all interference terms, so the
-    sweep terminates; one primary takes one sweep).  Each trial writes
-    back the rows whose multiplier for its primary is final for this step:
-    a search trial the rows within budget, so a row keeps the allocation
-    of its latest feasible trial, which is the root the search returns,
-    and the eta = 0 trial the rows the search leaves at 0.  So ``alloc``
-    always holds the allocation at the current ``eta``.
+    sweep terminates; one primary takes one sweep).  After each search
+    trial the next one is proposed at the root of that trial's water-fill
+    with its winners fixed (:func:`_model_root`); rows without a hint start
+    at 1 and double first.  Each trial writes back the rows whose
+    multiplier for its primary is final for this step: a search trial the
+    rows within budget, so a row keeps the allocation of its latest
+    feasible trial, which is the root the search returns, and the eta = 0
+    trial the rows the search leaves at 0.  So ``alloc`` always holds the
+    allocation at the current ``eta``.
     """
     links = ws.links[idx]
     budgets = ws.budgets
@@ -364,23 +377,31 @@ def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray, a
     def interference(j, keep_below, eta_j, rows):
         trial = eta.copy() if rows is None else eta[rows]
         trial[:, j] = eta_j
-        part = ws.allocate(mu, trial, ws.split(links if rows is None else links[rows]))
+        arrays = ws.split(links if rows is None else links[rows])
+        part = ws.allocate(mu, trial, arrays)
         keep = part[3][:, j] <= keep_below
         at = idx[keep] if rows is None else idx[rows[keep]]
         for full, new in zip(alloc, part):
             full[at] = new[keep]
-        return part[3][:, j]
+        return part, trial, arrays
+
+    def search(j, budget, eta_j, rows):
+        (winner, *_, used), trial, arrays = interference(j, budget, eta_j, rows)
+        return used[:, j], functools.partial(_model_root, budget * (1.0 - 0.5 * _TIGHT_REL),
+                                             mu, j, eta_j, trial, winner, arrays)
 
     for sweep in range(8):
         for j, budget in enumerate(budgets):
             top = budget * (1.0 + _TIGHT_REL)
-            at_zero = alloc[3][idx, j] if sweep == j == 0 else interference(j, top, 0.0, None)
+            at_zero = alloc[3][idx, j] if sweep == j == 0 else \
+                interference(j, top, 0.0, None)[0][3][:, j]
             hint = np.where(eta[:, j] > 0.0, eta[:, j], eta_hint[:, j])
             eta[:, j] = _find_root(
-                functools.partial(interference, j, budget), np.where(hint > 0.0, hint, 1.0),
+                functools.partial(search, j, budget), np.where(hint > 0.0, hint, 1.0),
                 budget * (1.0 - _TIGHT_REL), budget, at_zero > top, InfeasibleError,
                 lambda row: "no finite multiplier meets primary %d's budget at "
-                "state %d (stream %d)" % (j, idx[row], ws.streams[idx[row]]), _ETA_SLOPE)
+                "state %d (stream %d)" % (j, idx[row], ws.streams[idx[row]]),
+                cold=hint == 0.0)
         over = alloc[3][idx] > budgets * (1.0 + _TIGHT_REL)
         if not np.any(over):
             return eta
@@ -391,24 +412,70 @@ def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray, a
         % (idx[row], ws.streams[idx[row]], j, alloc[3][idx[row], j], budgets[j]))
 
 
-def _find_root(evaluate, start, y_lo, y_hi, active, error, where, slope=-1.0):
+def _model_root(aim, mu, j, eta_j, trial, winner, arrays, sel):
+    """Next eta_j of the trial rows ``sel``: Newton steps from ``eta_j`` to G(e) = aim.
+
+    G is a state's interference at primary j with the trial's winners
+    fixed: with w the winners' weights to j, f their densities and pcut
+    their cutoffs, and b = mu + sum over the other primaries i of
+    eta_i w_i / f,
+
+        G(e) = sum_k w_k [1 / (ln2 (b_k + e w_k / f_k)) - pcut_k]+.
+
+    G is convex and decreasing, so a step from below the root does not
+    pass it, and one from above lands below it (or at a quarter of e, if
+    higher, which keeps e positive).  ``arrays`` are the trial rows'
+    (inv_density, density, pcut, weights).
+    """
+    inv_density, _, pcut, weights = arrays
+    at = sel[:, None], winner[sel], np.arange(winner.shape[1])     # the winners' links
+    inv_density, pcut, weights = inv_density[at], pcut[at], weights[sel]
+    price = mu
+    if trial.shape[1] > 1:                      # the other primaries' prices
+        others = trial[sel]
+        others[:, j] = 0.0
+        price = mu + np.einsum("sm,smk->sk", others, weights) * inv_density
+    weight = weights[:, j]
+    coef = LN2 * weight * inv_density
+    base = LN2 * price
+    slope = coef * weight
+    e = eta_j[sel]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            level = coef * e[:, None]
+            level += base
+            np.divide(1.0, level, out=level)
+            power = level - pcut
+            np.maximum(power, 0.0, out=power)
+            gap = np.einsum("sk,sk->s", weight, power)
+            gap -= aim
+            level *= level
+            level *= power > 0.0
+            e = np.fmax(e + gap / np.einsum("sk,sk->s", slope, level), 0.25 * e)
+    return e
+
+
+def _find_root(evaluate, start, y_lo, y_hi, active, error, where, slope=-1.0, cold=None):
     """Per-row x > 0 with y(x) in [y_lo, y_hi], for a y that falls with x.
 
     ``evaluate(x, rows)`` gives y at x for the listed rows, or all rows
-    when ``rows`` is None.  Rows flagged ``active`` need y(0) > y_hi; the
-    rest return 0.  A row tries ``start``, then steps along the line in
+    when ``rows`` is None; or it gives (y, propose), where ``propose(i)``
+    is the next trial of the evaluated rows ``i``.  Rows flagged ``active``
+    need y(0) > y_hi; the rest return 0.  A row tries ``start``, then the
+    proposed x, or without a proposal steps along the line in
     (log x, log y) through its last two trials, or through its first trial
-    with slope ``slope``.  Until a row has a bracket, the step aims
+    with slope ``slope``.  Until a row has a bracket, a line step aims
     _OVERSHOOT of its length past the window, so that one step usually
-    brackets the root; a row above the window at ``start`` doubles it
-    first, and where the line gives no step (y did not fall between the
-    trials) a row doubles or halves x.  Inside a bracket, a line that
-    leaves it gives way to Illinois regula falsi on the bracket ends; after
-    _SECANT_STREAK steps keeping one end the row bisects, which bounds the
-    cost of a jump in y.  It returns the least feasible x (y <= y_hi) once
-    y is in the window or the bracket is 1e-12 wide.  ``error`` names
-    ``where(row)`` and the bracket when a row is still above y_hi at
-    start * 2^(_ETA_DOUBLINGS - 1), the highest x it may try.
+    brackets the root.  A row flagged ``cold`` (all by default) that is
+    above the window at ``start`` doubles it first, and where there is no
+    step (y did not fall between the trials) a row doubles or halves x.
+    Inside a bracket, a step that leaves it gives way to Illinois regula
+    falsi on the bracket ends; after _SECANT_STREAK steps keeping one end
+    the row bisects, which bounds the cost of a jump in y.  It returns the
+    least feasible x (y <= y_hi) once y is in the window or the bracket is
+    1e-12 wide.  ``error`` names ``where(row)`` and the bracket when a row
+    is still above y_hi at start * 2^(_ETA_DOUBLINGS - 1), the highest x it
+    may try.
     """
     log_aim = math.log(0.5 * (y_lo + y_hi))
     out = np.zeros(active.size)             # the roots; inactive rows stay at 0
@@ -422,16 +489,19 @@ def _find_root(evaluate, start, y_lo, y_hi, active, error, where, slope=-1.0):
     st[0] = start[rows]
     st[2] = np.inf
     st[9] = st[0] * 2.0 ** (_ETA_DOUBLINGS - 1)
+    cold = np.ones(rows.size, dtype=bool) if cold is None else cold[rows]
     for trial in range(1, _ETA_DOUBLINGS + _BISECT_STEPS + 1):
         if rows.size == 0:
             break
         x, lo, hi, v, vl, vh, n, up, vp, top = st
         if 2 * rows.size <= active.size:        # a gather copies the arrays
-            y = evaluate(x, rows)
+            y, at = evaluate(x, rows), np.arange(rows.size)
         else:
             full = out.copy()
             full[rows] = x
-            y = evaluate(full, None)[rows]
+            y, at = evaluate(full, None), rows
+        y, propose = y if isinstance(y, tuple) else (y, None)
+        y = y[at]
         feas = y <= y_hi
         infeas = ~feas
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -454,17 +524,23 @@ def _find_root(evaluate, start, y_lo, y_hi, active, error, where, slope=-1.0):
 
             u, u_lo, u_hi = np.log(st[:3])
             open_ = (lo == 0.0) | (hi == np.inf)
-            # every row makes its first trial together, at ``start``
-            inv = 1.0 / slope if trial == 1 else (u - up) / (v - vp)
-            line = u - (1.0 + _OVERSHOOT * open_) * v * inv
+            if propose is None:
+                # every row makes its first trial together, at ``start``
+                inv = 1.0 / slope if trial == 1 else (u - up) / (v - vp)
+                line = u - (1.0 + _OVERSHOOT * open_) * v * inv
+            else:
+                line = np.full(rows.size, np.nan)
+                if not done.all():
+                    line[~done] = np.log(propose(at[~done]))
+                propose = None          # frees the trial's arrays before the next one
             falsi = u_hi - vh * (u_hi - u_lo) / (vh - vl)
             fresh = np.abs(n) < _SECANT_STREAK              # n is 0 on open rows
             step = np.where((falsi > u_lo) & (falsi < u_hi) & fresh, falsi, 0.5 * (u_lo + u_hi))
             step = np.exp(np.where((line > u_lo) & (line < u_hi) & fresh, line, step))
-        # an open row without a line step doubles or halves, and its first step up doubles
+        # an open row without a step doubles or halves, and a cold row's first step up doubles
         step = np.where(step == 0.0, 0.5 * hi, np.where(step == np.inf, 2.0 * lo, step))
         if trial == 1:
-            step = np.where(feas, step, 2.0 * lo)
+            step = np.where(feas | ~cold, step, 2.0 * lo)
         np.minimum(step, top, out=x)
         up[:] = u
         vp[:] = v
@@ -542,14 +618,17 @@ def _warm_start_mu(ws: _Workspace, tol_w: float):
 
 
 def _dual_bound(ws: _Workspace, mu: float, eta: np.ndarray) -> float:
-    """Weak-duality upper bound at (mu, eta): unweighted per-state maximum."""
+    """Weak-duality upper bound at (mu, eta): unweighted per-state maximum.
+
+    Every user of a subcarrier sees its price q, and a link's value
+    log2(L / pcut) - q (L - pcut), L = 1 / (ln2 q), falls as pcut rises, so
+    the user with the least pcut attains each subcarrier's maximum.
+    """
     priced = mu + np.einsum("sm,smk->sk", eta, ws.weights)         # (S, K)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv_level = 1.0 / (LN2 * priced)                           # (S, K)
-        x = inv_level[:, None, :] / ws.pcut - 1.0
+        x = 1.0 / (LN2 * priced) / ws.pcut_min - 1.0
         np.maximum(x, 0.0, out=x)
-        value = np.log1p(x) / LN2 - priced[:, None, :] * (x * ws.pcut)
-    best = np.max(value, axis=1)                                   # (S, K)
+        best = np.log1p(x) / LN2 - priced * (x * ws.pcut_min)      # (S, K)
     per_state = np.sum(best, axis=1) + eta @ ws.budgets
     return mu * ws.cfg.total_power_w + float(np.mean(per_state))
 

@@ -785,3 +785,96 @@ def test_binding_points_skip_the_mu_zero_probe(monkeypatch):
                             num_states=60)
         assert np.any(result.dual.eta > 0.0) and result.dual.mu > 0.0
         assert 0.0 not in mus
+
+
+def test_model_steps_over_the_ith_sweep(monkeypatch):
+    # seed 6, 60 states: stepping along the line through the last two trials
+    # spent 118.68 passes and 140 _allocate calls here
+    calls = []
+    kernel = optimizer_module._allocate
+    monkeypatch.setattr(optimizer_module, "_allocate",
+                        lambda *args: calls.append(1) or kernel(*args))
+    passes = 0.0
+    for ith in (1.0, 2.0, 5.0, 10.0, 20.0):
+        dual = solve_dual(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
+                          num_states=60).dual
+        passes += dual.warm_start_passes + dual.iteration_passes
+    assert passes <= 85.0
+    assert len(calls) <= 110
+
+
+def test_model_steps_with_two_binding_primaries():
+    # stepping along the line through the last two trials spent 81.93 here
+    dual = solve_dual(_binding_m2(), num_states=60).dual
+    assert np.all(dual.eta > 0.0)
+    assert dual.warm_start_passes + dual.iteration_passes <= 55.0
+
+
+@pytest.mark.parametrize("factor", [0.6, 1.3])
+def test_fixed_winners_reach_the_window_within_three_trials(monkeypatch, factor):
+    # with one user no winner can switch, so each model root is the state's root
+    cfg = deterministic_benchmark(num_users=1, rng_seed=6, interference_limit_w=(2.0,))
+    ws = optimizer_module._Workspace(cfg, sample_realizations(cfg, range(60)))
+    roots = optimizer_module._solve_states(ws, 0.5, np.zeros((60, 1)))[4]
+    bound = roots[:, 0] > 0.0
+    assert np.sum(bound) >= 50
+    calls = []
+    kernel = optimizer_module._allocate
+    monkeypatch.setattr(optimizer_module, "_allocate",
+                        lambda *args: calls.append(1) or kernel(*args))
+    alloc, bad = ws.first_pass(0.5)
+    eta = optimizer_module._tighten(ws, 0.5, np.flatnonzero(bad), factor * roots[bad], alloc)
+    assert len(calls) <= 1 + 3
+    assert np.all(eta > 0.0)
+    used = alloc[3][bad, 0]
+    assert np.all((used <= ws.budgets[0]) & (used >= ws.budgets[0] * (1.0 - 1e-6)))
+
+
+def _full_grid_bound(ws, mu, eta):
+    """:func:`_dual_bound` with the maximum taken over every user of the grid."""
+    priced = mu + np.einsum("sm,smk->sk", eta, ws.weights)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_level = 1.0 / (LN2 * priced)
+        x = inv_level[:, None, :] / ws.pcut - 1.0
+        np.maximum(x, 0.0, out=x)
+        value = np.log1p(x) / LN2 - priced[:, None, :] * (x * ws.pcut)
+    per_state = np.sum(np.max(value, axis=1), axis=1) + eta @ ws.budgets
+    return mu * ws.cfg.total_power_w + float(np.mean(per_state))
+
+
+@pytest.mark.parametrize("cfg, states", [
+    (deterministic_benchmark(ber_target=1e-2), 100),
+    (deterministic_benchmark(rng_seed=6, interference_limit_w=(2.0,)), 60),
+    (imperfect_benchmark(), 100),
+    (_wide_m2(rng_seed=6), 20),
+    (_binding_m2(), 60),
+], ids=["criterion-4", "ith2", "imperfect", "wide-m2", "binding-m2"])
+def test_dual_bound_at_the_least_cut_user_matches_the_full_grid(cfg, states):
+    ws = optimizer_module._Workspace(cfg, sample_realizations(cfg, range(states)))
+    rng = np.random.default_rng(states)
+    m = cfg.num_primaries
+    for point in range(30):
+        mu = 0.0 if point % 3 == 0 else float(rng.uniform(0.01, 3.0))
+        eta = rng.exponential(rng.choice([0.01, 1.0, 100.0]), (states, m))
+        eta[rng.random(states) < 0.3] = 0.0
+        fast, full = optimizer_module._dual_bound(ws, mu, eta), _full_grid_bound(ws, mu, eta)
+        # mu = 0 with a row at eta = 0 is an unbounded state: NaN in both forms
+        assert math.isnan(fast) == (mu == 0.0)
+        assert np.float64(fast).tobytes() == np.float64(full).tobytes()
+
+
+@pytest.mark.parametrize("mu", [0.9, 1.7, 3.3, 0.0])
+def test_slack_states_share_one_water_level(mu):
+    # with every eta at 0 the kernel skips the priced grid; the bytes stay
+    cfg = deterministic_benchmark(num_subcarriers=16)
+    ws = optimizer_module._Workspace(cfg, sample_realizations(cfg, range(20)))
+    arrays = ws.subset()
+    eta = np.zeros((20, 1))
+    with np.errstate(invalid="ignore"):
+        winner, p_sel, x_sel, interference = optimizer_module._allocate(mu, eta, *arrays)
+    power, x, metric = _candidates(mu, eta, *arrays)
+    users = np.argmax(metric, axis=1)       # NaN, at mu = 0, is the maximum
+    assert np.array_equal(winner, users)
+    assert p_sel.tobytes() == np.take_along_axis(power, users[:, None], 1)[:, 0].tobytes()
+    assert x_sel.tobytes() == np.take_along_axis(x, users[:, None], 1)[:, 0].tobytes()
+    assert np.all(np.isinf(p_sel)) == (mu == 0.0)
