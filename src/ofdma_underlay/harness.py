@@ -11,15 +11,20 @@ unloaded one adds exactly 0 to the interference, so the estimate has
 the law of a redraw of all K links at L/K of the normals (L loaded).
 Sweeps rerun the experiment along one scenario axis, on one shared
 read-only draw unless the axis (the subcarrier count) changes the draw,
-and serialize rows to a fixed-header CSV with a JSON sidecar.  All
-artifacts are deterministic for a given config and seed: stable float
-formatting, sorted keys, no timestamps.
+and serialize rows to a fixed-header CSV with a JSON sidecar.  A sweep
+resamples after every point is solved, in one pass over all points: a
+state's redraws depend only on its audit stream and its posterior on
+the loaded links, so points that load a state alike share one draw of
+it, and every row equals the lone experiment.  All artifacts are
+deterministic for a given config and seed: stable float formatting,
+sorted keys, no timestamps.
 """
 
 from __future__ import annotations
 
 import contextvars
 import json
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -30,8 +35,8 @@ from ._special import gammaincc
 from .channel import posterior_stats, sample_realizations
 from .config import ScenarioConfig, parse_value
 from .errors import ConfigError
-from .interference import (_AUDIT_TAG, _posterior_collisions, audit_deterministic,
-                           enforced_budgets, xi_means)
+from .interference import (_AUDIT_TAG, _hit_rates, _posterior_gains,
+                           audit_deterministic, enforced_budgets, xi_means)
 from .optimizer import SolveResult, solve_dual
 
 __all__ = [
@@ -60,8 +65,12 @@ SWEEP_AXES = {
 SWEEP_HEADER = "axis_value,ase,ase_stderr,power_used,max_interf,collision,epsilon"
 TRACE_HEADER = "iter,mu,primal_ase,dual_value,power_gap"
 
-# the draw a sweep shares with the run_experiment calls it makes
-_sweep_batch = contextvars.ContextVar("sweep_batch", default=None)
+_log = logging.getLogger(__name__)
+
+# what a sweep shares with the run_experiment call of one point: the draw
+# (None when each point draws its own) and the list that call leaves its
+# pending collision audit on
+_sweep_point = contextvars.ContextVar("sweep_point", default=None)
 
 
 def format_float(value) -> str:
@@ -100,6 +109,7 @@ class EvaluationReport:
     collision_mc_max: list | None = None
     collision_mc_stderr: float | None = None
     audited_states: int = 0
+    # a sweep row's time leaves out the audit that the sweep runs for all rows
     elapsed_s: float = 0.0
     result: SolveResult | None = field(default=None, repr=False)
     collision_analytic: np.ndarray | None = field(default=None, repr=False)
@@ -155,26 +165,56 @@ def _collision_analytic(cfg: ScenarioConfig, batch, power_sel: np.ndarray):
     return out
 
 
-def _collision_mc(cfg: ScenarioConfig, batch, power_sel: np.ndarray,
-                  state_indices, samples: int):
-    """Posterior-resampled collision frequency on a subsample of states.
-
-    Returns each primary's worst rate and the largest of the stderrs taken
-    at those worst states.
-    """
-    limits = np.asarray(cfg.interference_limit_w)
-    worst = np.zeros(cfg.num_primaries)
-    worst_stderr = np.zeros(cfg.num_primaries)
-    for s in state_indices:
-        rng = np.random.default_rng(np.random.SeedSequence(
-            (cfg.rng_seed, _AUDIT_TAG, int(batch.streams[s]))))
-        post = posterior_stats(cfg, batch.cross_est[s])             # (M, K)
-        prob = _posterior_collisions(rng, post, power_sel[s], limits, samples)
-        stderr = np.sqrt(np.maximum(prob * (1.0 - prob), 1.0 / samples) / samples)
-        pick = prob > worst
-        worst = np.where(pick, prob, worst)
+def _worst_collisions(prob: np.ndarray, samples: int):
+    """Each primary's worst rate over the (picks, M) rates, taken in pick
+    order, and the largest of the stderrs taken at those worst states."""
+    worst = np.zeros(prob.shape[1])
+    worst_stderr = np.zeros(prob.shape[1])
+    for rate in prob:
+        stderr = np.sqrt(np.maximum(rate * (1.0 - rate), 1.0 / samples) / samples)
+        pick = rate > worst
+        worst = np.where(pick, rate, worst)
         worst_stderr = np.where(pick, stderr, worst_stderr)
     return worst, float(np.max(worst_stderr))
+
+
+def _audit_collisions(audits) -> None:
+    """Posterior-resampled collision rates of every pending point's picks.
+
+    ``audits`` holds one (report, cfg, batch, picks, samples) per point.
+    A (point, state) pair's redraws depend only on the run seed, the
+    state's stream, the sample count, and the posterior mean and variance
+    on the loaded links, so the pairs that agree on those share one draw
+    and each applies its own powers and limits to it.  Fills each report's
+    ``collision_mc_max`` and ``collision_mc_stderr``.
+    """
+    start = time.perf_counter()
+    groups = {}
+    rates = []
+    for report, cfg, batch, picks, samples in audits:
+        limits = np.asarray(cfg.interference_limit_w)
+        rates.append(np.zeros((len(picks), limits.size)))
+        for row, s in zip(rates[-1], picks):
+            power = report.result.policies.power[s]
+            loaded = power > 0.0
+            post = posterior_stats(cfg, batch.cross_est[s])         # (M, K)
+            mean = post.mean[:, loaded]
+            key = (cfg.rng_seed, int(batch.streams[s]), samples, loaded.tobytes(),
+                   mean.tobytes(), post.variance)
+            members = groups.setdefault(key, (mean, []))[1]
+            members.append((row, power[loaded], limits))
+    for (seed, stream, samples, *_, variance), (mean, members) in groups.items():
+        rng = np.random.default_rng(np.random.SeedSequence((seed, _AUDIT_TAG, stream)))
+        rows, powers, limits = zip(*members)
+        gains = _posterior_gains(rng, mean, variance, samples)
+        for row, rate in zip(rows, _hit_rates(gains, powers, limits, samples)):
+            row[:] = rate
+    for (report, *_, samples), prob in zip(audits, rates):
+        worst, report.collision_mc_stderr = _worst_collisions(prob, samples)
+        report.collision_mc_max = [float(x) for x in worst]
+    _log.debug("collision audit: %d points, %d pairs, %d draws, %.3f s",
+               len(audits), sum(r.shape[0] for r in rates), len(groups),
+               time.perf_counter() - start)
 
 
 def run_experiment(cfg: ScenarioConfig, num_states: int, *,
@@ -185,7 +225,10 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
 
     Probabilistic runs resample the ``audit_states`` analytically worst
     states from the posterior (0 skips that audit; the analytic column
-    stays).  A zero power budget short-circuits to an all-zero report.
+    stays).  Inside a sweep the report comes back with ``audited_states``
+    set and its resampled columns left for the sweep to fill; a lone run
+    fills them itself through the same ``_audit_collisions``.  A zero
+    power budget short-circuits to an all-zero report.
     """
     if num_states < 1:
         raise ConfigError("num_states must be >= 1")
@@ -197,7 +240,8 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
         report.elapsed_s = time.perf_counter() - start
         return report
 
-    batch = _sweep_batch.get() or sample_realizations(cfg, range(num_states))
+    shared, pending = _sweep_point.get() or (None, None)
+    batch = shared or sample_realizations(cfg, range(num_states))
     result = solve_dual(cfg, batch, max_iterations=max_iterations,
                         run_all_iterations=run_all_iterations)
     power_sel = result.policies.power                               # (S, K)
@@ -207,8 +251,8 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
     violation = np.mean(true_interf > limits * (1.0 + 1e-6), axis=0)
 
     probabilistic = cfg.constraint_mode == "probabilistic"
-    analytic = analytic_max = mc_max = mc_stderr = None
-    audited = 0
+    analytic = analytic_max = None
+    picks = ()
     if probabilistic:
         analytic = _collision_analytic(cfg, batch, power_sel)
         analytic_max = [float(x) for x in np.max(analytic, axis=0)]
@@ -217,10 +261,6 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
             # it does not bound them
             order = np.argsort(np.max(analytic, axis=1))[::-1]
             picks = order[:min(audit_states, num_states)]
-            audited = picks.size
-            worst, mc_stderr = _collision_mc(cfg, batch, power_sel, picks,
-                                             audit_samples)
-            mc_max = [float(x) for x in worst]
 
     report = EvaluationReport(
         fingerprint=cfg.fingerprint(), csi_mode=cfg.csi_mode,
@@ -239,9 +279,14 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
         true_interference_mean=[float(x) for x in np.mean(true_interf, axis=0)],
         true_interference_max=[float(x) for x in np.max(true_interf, axis=0)],
         true_violation_rate=[float(x) for x in violation],
-        collision_analytic_max=analytic_max, collision_mc_max=mc_max,
-        collision_mc_stderr=mc_stderr, audited_states=audited,
+        collision_analytic_max=analytic_max, audited_states=len(picks),
         result=result, collision_analytic=analytic)
+    if len(picks):
+        audit = (report, cfg, batch, picks, audit_samples)
+        if pending is None:
+            _audit_collisions([audit])
+        else:
+            pending.append(audit)
     report.elapsed_s = time.perf_counter() - start
     return report
 
@@ -259,7 +304,10 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
     """Run one experiment per axis value; rows keep the input order.
 
     Values must be sorted nondecreasing so the monotonicity diagnostics
-    (plateau flags, trend checks) read off the rows directly.
+    (plateau flags, trend checks) read off the rows directly.  Every point
+    is solved first (on ``threads`` workers); then one collision audit
+    covers all points, drawing each state's posterior redraws once for
+    every point that loads it alike.
     """
     values = list(values)
     if not values:
@@ -271,14 +319,20 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
               else sample_realizations(configs[0], range(num_states)))
 
     def job(c):
+        pending = []
         context = contextvars.copy_context()
-        context.run(_sweep_batch.set, shared)
-        return context.run(run_experiment, c, num_states, **experiment_kwargs)
+        context.run(_sweep_point.set, (shared, pending))
+        return context.run(run_experiment, c, num_states, **experiment_kwargs), pending
 
     if threads <= 1:
-        return [job(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, configs))
+        points = [job(c) for c in configs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            points = list(pool.map(job, configs))
+    audits = [audit for _, pending in points for audit in pending]
+    if audits:
+        _audit_collisions(audits)
+    return [report for report, _ in points]
 
 
 def plateau_flags(reports, rel_gain: float = 0.01) -> list:

@@ -166,25 +166,56 @@ def enforced_budgets(cfg: ScenarioConfig) -> np.ndarray:
                      for i_th, eps in zip(cfg.interference_limit_w, cfg.collision_limit)])
 
 
-def _posterior_collisions(rng, post: PosteriorCrossStats, power, limits, samples: int):
-    """Fraction of posterior redraws of the (M, K) cross links above each limit.
+def _posterior_gains(rng, mean, variance: float, samples: int):
+    """Yield ``samples`` posterior redraws of |H|^2 on the (M, L) links of ``mean``.
 
-    Only the loaded links (P_k > 0) are redrawn: an unloaded link adds
-    exactly 0 to sum_k P_k |H_k|^2, so leaving it out changes no hit.
-    Draws in blocks of 4096 redraws: a block's real parts, then its imaginary parts.
+    Draws in blocks of 4096 redraws: a block's real parts, then its
+    imaginary parts.  Every audit stream follows this layout, so one
+    seeded generator and equal inputs give the same (block, M, L) gains.
+    The arithmetic runs in place on the drawn normals, in the order of
+    mean + std * z and re^2 + im^2, so it rounds alike.
     """
-    loaded = power > 0.0
-    mean, power = post.mean[:, loaded], power[loaded]
-    std = math.sqrt(post.variance)
-    hits = np.zeros(mean.shape[0])
+    std = math.sqrt(variance)
     done = 0
     while done < samples:
         block = min(samples - done, 1 << 12)
-        re = mean.real + std * rng.standard_normal((block,) + mean.shape)
-        im = mean.imag + std * rng.standard_normal((block,) + mean.shape)
-        hits += np.sum((re * re + im * im) @ power > limits, axis=0)
+        re = rng.standard_normal((block,) + mean.shape)
+        re *= std
+        re += mean.real
+        im = rng.standard_normal((block,) + mean.shape)
+        im *= std
+        im += mean.imag
+        re *= re
+        im *= im
+        re += im
+        yield re
         done += block
+
+
+def _hit_rates(gains, powers, limits, samples: int) -> np.ndarray:
+    """Fraction of the ``samples`` redraws in ``gains`` whose interference tops each limit.
+
+    ``powers`` and ``limits`` hold one (L,) power and its (M,) limits per
+    member; every member is applied to each block of the one draw.
+    Returns the (members, M) rates.
+    """
+    hits = np.zeros((len(powers), len(limits[0])))
+    for gain in gains:
+        for hit, power, limit in zip(hits, powers, limits):
+            hit += np.sum(gain @ power > limit, axis=0)
     return hits / samples
+
+
+def _posterior_collisions(rng, post: PosteriorCrossStats, power, limits, samples: int):
+    """Fraction of posterior redraws of the (M, K) cross links above each limit.
+
+    ``_posterior_gains`` redraws only the loaded links (P_k > 0): an
+    unloaded link adds exactly 0 to sum_k P_k |H_k|^2, so leaving it out
+    changes no hit.  ``_hit_rates`` then counts the hits.
+    """
+    loaded = power > 0.0
+    gains = _posterior_gains(rng, post.mean[:, loaded], post.variance, samples)
+    return _hit_rates(gains, [power[loaded]], [limits], samples)[0]
 
 
 def audit_probabilistic(power, post: PosteriorCrossStats, cfg: ScenarioConfig,

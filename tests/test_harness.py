@@ -1,6 +1,7 @@
 """Experiment reports, sweeps and artifact serialization."""
 
 import json
+import logging
 import math
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from ofdma_underlay.harness import (
     SWEEP_HEADER,
     TRACE_HEADER,
     _collision_analytic,
-    _collision_mc,
+    _worst_collisions,
     format_float,
     plateau_flags,
     run_experiment,
@@ -168,16 +169,10 @@ def test_collision_analytic_tracks_posterior_resampling():
     assert abs(analytic - prob[0]) <= 3.0 * stderr[0]
 
 
-def test_collision_mc_stderr_belongs_to_a_worst_state(monkeypatch):
-    cfg = _small_imperfect(num_primaries=2, interference_limit_w=(4.0, 6.0),
-                           collision_limit=(0.05, 0.2))
-    batch = sample_realizations(cfg, range(2))
-    rates = iter([np.array([0.1, 0.0]), np.array([0.0, 0.05])])
-    monkeypatch.setattr("ofdma_underlay.harness._posterior_collisions",
-                        lambda *args: next(rates))
+def test_collision_mc_stderr_belongs_to_a_worst_state():
+    rates = np.array([[0.1, 0.0], [0.0, 0.05]])
     samples = 20_000
-    worst, stderr = _collision_mc(cfg, batch, np.zeros((2, cfg.num_subcarriers)),
-                                  [0, 1], samples)
+    worst, stderr = _worst_collisions(rates, samples)
     np.testing.assert_array_equal(worst, [0.1, 0.05])
     assert stderr == math.sqrt(0.1 * 0.9 / samples)
 
@@ -284,6 +279,95 @@ def test_sweep_draws_the_states_once(monkeypatch, threads):
             assert row.result.policies.power.tobytes() == alone.result.policies.power.tobytes()
     sweep(_cfg(), "k", [4, 8, 16], 30, threads=threads)
     assert sorted(batch.direct_power.shape[2] for batch, _ in draws) == [4, 8, 16]
+
+
+# ---------------------------------------------------------------------------
+# the collision audit a sweep shares across its points
+
+AUDIT = {"audit_states": 4, "audit_samples": 2000}
+
+
+class _CountingGenerator:
+    """Wraps a generator and counts the normals it hands out."""
+
+    def __init__(self, rng, counts):
+        self.rng, self.counts = rng, counts
+
+    def standard_normal(self, size):
+        self.counts.append(int(np.prod(size)))
+        return self.rng.standard_normal(size)
+
+
+def _count_audit_normals(monkeypatch) -> list:
+    counts = []
+    draw = harness_module._posterior_gains
+    monkeypatch.setattr(harness_module, "_posterior_gains",
+                        lambda rng, *args: draw(_CountingGenerator(rng, counts), *args))
+    return counts
+
+
+def _audit_normals(cfg, rows, samples):
+    """Normals of all audited (point, state) pairs, and per distinct draw."""
+    per_pair, per_key = 0, {}
+    for row in rows:
+        point = cfg.with_updates(num_subcarriers=row.result.policies.power.shape[1])
+        batch = sample_realizations(point, range(row.num_states))
+        picks = np.argsort(np.max(row.collision_analytic, axis=1))[::-1]
+        for s in picks[:row.audited_states]:
+            loaded = row.result.policies.power[s] > 0.0
+            mean = posterior_stats(point, batch.cross_est[s]).mean[:, loaded]
+            normals = 2 * samples * mean.size
+            per_pair += normals
+            per_key[(int(batch.streams[s]), loaded.tobytes(), mean.tobytes())] = normals
+    return per_pair, per_key
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("axis, values", [("epsilon", [0.05, 0.1, 0.2]),
+                                          ("ith", [0.5, 1.0, 2.0]),
+                                          ("pt", [5.0, 10.0, 20.0])])
+def test_shared_audit_rows_equal_lone_runs(threads, axis, values):
+    cfg = _small_imperfect()
+    rows = sweep(cfg, axis, values, 60, threads=threads, **AUDIT)
+    for value, row in zip(values, rows):
+        alone = run_experiment(harness_module._axis_update(cfg, axis, value), 60,
+                               **AUDIT)
+        assert row.audited_states == 4 and row.collision_mc_max is not None
+        assert json.dumps(row.to_mapping()) == json.dumps(alone.to_mapping())
+
+
+def test_epsilon_sweep_draws_each_audit_key_once(monkeypatch):
+    counts = _count_audit_normals(monkeypatch)
+    cfg = _small_imperfect()
+    rows = sweep(cfg, "epsilon", [0.05, 0.1, 0.2], 60, **AUDIT)
+    per_pair, per_key = _audit_normals(cfg, rows, AUDIT["audit_samples"])
+    assert sum(counts) == sum(per_key.values()) < per_pair
+
+
+def test_subcarrier_sweep_audits_each_point_on_its_own_draw(monkeypatch):
+    counts = _count_audit_normals(monkeypatch)
+    cfg = _small_imperfect()
+    rows = sweep(cfg, "k", [8, 16], 60, **AUDIT)
+    per_pair, per_key = _audit_normals(cfg, rows, AUDIT["audit_samples"])
+    assert sum(counts) == sum(per_key.values()) == per_pair
+    for k, row in zip([8, 16], rows):
+        alone = run_experiment(cfg.with_updates(num_subcarriers=k), 60, **AUDIT)
+        assert json.dumps(row.to_mapping()) == json.dumps(alone.to_mapping())
+
+
+def test_audit_logs_points_pairs_and_draws(caplog):
+    cfg = _small_imperfect()
+    with caplog.at_level(logging.DEBUG, logger="ofdma_underlay.harness"):
+        rows = sweep(cfg, "epsilon", [0.05, 0.1, 0.2], 60, **AUDIT)
+        run_experiment(cfg, 60, **AUDIT)
+        sweep(_cfg(), "ith", [1.0, 2.0], 30)
+    _, per_key = _audit_normals(cfg, rows, AUDIT["audit_samples"])
+    records = [r for r in caplog.records if r.name == "ofdma_underlay.harness"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 2
+    points, pairs, draws, seconds = records[0].args
+    assert (points, pairs, draws) == (3, 12, len(per_key)) and draws < pairs
+    assert seconds >= 0.0
+    assert records[1].args[:3] == (1, 4, 4)      # a lone run; the ith sweep logs none
 
 
 # ---------------------------------------------------------------------------

@@ -314,3 +314,28 @@ def test_posterior_collisions_draw_only_loaded_links(loaded):
     assert rng.normals == 2 * samples * 2 * len(loaded)
     if not loaded:
         np.testing.assert_array_equal(prob, [0.0, 0.0])
+
+
+def test_posterior_collisions_keep_the_stream_layout():
+    post = _spread_posterior(2, 64)
+    power = np.zeros(64)
+    power[[1, 4, 9, 30, 63]] = [0.5, 0.2, 1.1, 0.05, 0.7]
+    limits = np.array([6.0, 9.0])
+    samples = 10_000                     # two full blocks and a partial one
+    got = _posterior_collisions(np.random.default_rng(9), post, power, limits, samples)
+    # the block loop every audit stream has followed: per block of 4096
+    # redraws, the real parts of the loaded links, then their imaginary parts
+    rng = np.random.default_rng(9)
+    loaded = power > 0.0
+    mean, weights = post.mean[:, loaded], power[loaded]
+    std = math.sqrt(post.variance)
+    hits = np.zeros(2)
+    done = 0
+    while done < samples:
+        block = min(samples - done, 4096)
+        re = mean.real + std * rng.standard_normal((block,) + mean.shape)
+        im = mean.imag + std * rng.standard_normal((block,) + mean.shape)
+        hits += np.sum((re * re + im * im) @ weights > limits, axis=0)
+        done += block
+    assert np.all((got > 0.05) & (got < 0.95))
+    assert got.tobytes() == (hits / samples).tobytes()
