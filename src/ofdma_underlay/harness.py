@@ -15,9 +15,9 @@ and serialize rows to a fixed-header CSV with a JSON sidecar.  A sweep
 resamples after every point is solved, in one pass over all points: a
 state's redraws depend only on its audit stream and its posterior on
 the loaded links, so points that load a state alike share one draw of
-it, and every row equals the lone experiment.  All artifacts are
-deterministic for a given config and seed: stable float formatting,
-sorted keys, no timestamps.
+it, the distinct draws run on the sweep's workers, and every row equals
+the lone experiment.  All artifacts are deterministic for a given
+config and seed: stable float formatting, sorted keys, no timestamps.
 """
 
 from __future__ import annotations
@@ -178,38 +178,52 @@ def _worst_collisions(prob: np.ndarray, samples: int):
     return worst, float(np.max(worst_stderr))
 
 
-def _audit_collisions(audits) -> None:
+def _pending_audit(report, cfg: ScenarioConfig, batch, picks, samples: int):
+    """What the collision audit needs of one point, without its batch.
+
+    Per pick, in pick order: the key its redraws depend on (run seed,
+    stream, sample count, loaded support, posterior mean on it and
+    variance), that mean and the loaded powers.
+    """
+    requests = []
+    for s in picks:
+        power = report.result.policies.power[s]
+        loaded = power > 0.0
+        post = posterior_stats(cfg, batch.cross_est[s])             # (M, K)
+        mean = post.mean[:, loaded]
+        key = (cfg.rng_seed, int(batch.streams[s]), samples, loaded.tobytes(),
+               mean.tobytes(), post.variance)
+        requests.append((key, mean, power[loaded]))
+    return report, np.asarray(cfg.interference_limit_w), samples, requests
+
+
+def _audit_collisions(audits, spread=map) -> None:
     """Posterior-resampled collision rates of every pending point's picks.
 
-    ``audits`` holds one (report, cfg, batch, picks, samples) per point.
-    A (point, state) pair's redraws depend only on the run seed, the
-    state's stream, the sample count, and the posterior mean and variance
-    on the loaded links, so the pairs that agree on those share one draw
-    and each applies its own powers and limits to it.  Fills each report's
-    ``collision_mc_max`` and ``collision_mc_stderr``.
+    ``audits`` holds one ``_pending_audit`` per point.  The (point, state)
+    pairs that share a key share one draw, and each applies its own powers
+    and limits to it; ``spread`` maps the draws over the distinct keys (a
+    thread pool's ``map`` runs them side by side, each on its own stream).
+    Fills each report's ``collision_mc_max`` and ``collision_mc_stderr``.
     """
     start = time.perf_counter()
     groups = {}
     rates = []
-    for report, cfg, batch, picks, samples in audits:
-        limits = np.asarray(cfg.interference_limit_w)
-        rates.append(np.zeros((len(picks), limits.size)))
-        for row, s in zip(rates[-1], picks):
-            power = report.result.policies.power[s]
-            loaded = power > 0.0
-            post = posterior_stats(cfg, batch.cross_est[s])         # (M, K)
-            mean = post.mean[:, loaded]
-            key = (cfg.rng_seed, int(batch.streams[s]), samples, loaded.tobytes(),
-                   mean.tobytes(), post.variance)
-            members = groups.setdefault(key, (mean, []))[1]
-            members.append((row, power[loaded], limits))
-    for (seed, stream, samples, *_, variance), (mean, members) in groups.items():
+    for report, limits, samples, requests in audits:
+        rates.append(np.zeros((len(requests), limits.size)))
+        for row, (key, mean, power) in zip(rates[-1], requests):
+            groups.setdefault(key, (mean, []))[1].append((row, power, limits))
+
+    def draw(group):
+        (seed, stream, samples, *_, variance), (mean, members) = group
         rng = np.random.default_rng(np.random.SeedSequence((seed, _AUDIT_TAG, stream)))
         rows, powers, limits = zip(*members)
         gains = _posterior_gains(rng, mean, variance, samples)
         for row, rate in zip(rows, _hit_rates(gains, powers, limits, samples)):
             row[:] = rate
-    for (report, *_, samples), prob in zip(audits, rates):
+
+    list(spread(draw, groups.items()))
+    for (report, _, samples, _), prob in zip(audits, rates):
         worst, report.collision_mc_stderr = _worst_collisions(prob, samples)
         report.collision_mc_max = [float(x) for x in worst]
     _log.debug("collision audit: %d points, %d pairs, %d draws, %.3f s",
@@ -282,7 +296,7 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
         collision_analytic_max=analytic_max, audited_states=len(picks),
         result=result, collision_analytic=analytic)
     if len(picks):
-        audit = (report, cfg, batch, picks, audit_samples)
+        audit = _pending_audit(report, cfg, batch, picks, audit_samples)
         if pending is None:
             _audit_collisions([audit])
         else:
@@ -307,7 +321,8 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
     (plateau flags, trend checks) read off the rows directly.  Every point
     is solved first (on ``threads`` workers); then one collision audit
     covers all points, drawing each state's posterior redraws once for
-    every point that loads it alike.
+    every point that loads it alike, with the distinct draws spread over
+    the same workers.
     """
     values = list(values)
     if not values:
@@ -324,14 +339,12 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
         context.run(_sweep_point.set, (shared, pending))
         return context.run(run_experiment, c, num_states, **experiment_kwargs), pending
 
-    if threads <= 1:
-        points = [job(c) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(job, configs))
-    audits = [audit for _, pending in points for audit in pending]
-    if audits:
-        _audit_collisions(audits)
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        spread = pool.map if threads > 1 else map
+        points = list(spread(job, configs))
+        audits = [audit for _, pending in points for audit in pending]
+        if audits:
+            _audit_collisions(audits, spread)
     return [report for report, _ in points]
 
 

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -353,6 +354,22 @@ def test_subcarrier_sweep_audits_each_point_on_its_own_draw(monkeypatch):
     for k, row in zip([8, 16], rows):
         alone = run_experiment(cfg.with_updates(num_subcarriers=k), 60, **AUDIT)
         assert json.dumps(row.to_mapping()) == json.dumps(alone.to_mapping())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_audit_draws_on_the_sweep_workers(monkeypatch, threads):
+    names = []
+    draw = harness_module._posterior_gains
+
+    def record(*args):
+        names.append(threading.current_thread().name)
+        return draw(*args)
+
+    monkeypatch.setattr(harness_module, "_posterior_gains", record)
+    sweep(_small_imperfect(), "epsilon", [0.05, 0.1, 0.2], 60, threads=threads,
+          **AUDIT)
+    main = threading.main_thread().name
+    assert names and all((name == main) == (threads == 1) for name in names)
 
 
 def test_audit_logs_points_pairs_and_draws(caplog):
