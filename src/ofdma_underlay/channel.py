@@ -71,32 +71,36 @@ def sample_realizations(cfg: ScenarioConfig, streams) -> BatchRealizations:
     Each stream draws, in order, the (N, K) standard exponentials of the
     direct gains and two (2, M, K) blocks of standard normals: u for the
     estimate's real and imaginary parts, and v, which mixes with u into the
-    error so that corr(Re Hhat, Re dH) = rho.  The scaling then runs once
-    on the whole batch.
+    error so that corr(Re Hhat, Re dH) = rho.  Under perfect CSI the error
+    is sqrt(error_var) = 0 times the mix, so a stream stops after u and
+    ``cross_true`` copies the estimate.  The scaling runs once per batch.
     """
     streams = np.asarray(list(streams), dtype=np.int64)
     n, m, k = cfg.num_users, cfg.num_primaries, cfg.num_subcarriers
+    perfect = cfg.csi_mode == "perfect"
     direct = np.empty((streams.size, n, k))
     est = np.empty((streams.size, m, k), dtype=complex)
-    true = np.empty_like(est)
-    normals = np.empty((streams.size, 2, 2, m, k))      # (state, u|v, re|im, M, K)
+    # (state, u|v, re|im, M, K)
+    normals = np.empty((streams.size, 1 if perfect else 2, 2, m, k))
     for i, stream in enumerate(streams):
         rng = _stream_rng(cfg.rng_seed, stream)
         rng.standard_exponential(out=direct[i])
         rng.standard_normal(out=normals[i])
     direct *= cfg.direct_gain_means
     # in place, the same products as cross_mean + std (re + 1j im)
-    u, mix = normals[:, 0], normals[:, 1]
+    u = normals[:, 0]
     np.add(u[:, 0], np.multiply(1j, u[:, 1], out=est), out=est)
     np.add(cfg.cross_mean, np.multiply(cfg.estimate_std, est, out=est), out=est)
+    if perfect:
+        return BatchRealizations(direct, est.copy(), est, streams)
+    mix = normals[:, 1]
     rho = cfg.correlation
     mix *= math.sqrt(1.0 - rho * rho)           # mix = rho u + sqrt(1 - rho^2) v
     u *= rho
     mix += u
+    true = np.empty_like(est)
     np.add(mix[:, 0], np.multiply(1j, mix[:, 1], out=true), out=true)
     np.add(est, np.multiply(math.sqrt(cfg.error_var), true, out=true), out=true)
-    if cfg.csi_mode == "perfect":
-        est[...] = true
     return BatchRealizations(direct, true, est, streams)
 
 

@@ -15,7 +15,11 @@ maximizing the selection metric
 
     Lambda = f * [ x / (ln2 (1 + x)) + log2(1 + x) ],  x = slope gamma P* / P_ref,
 
-ties to the lowest user index.  ``eta`` is found one primary at a time,
+ties to the lowest user index.  With the cutoff pcut = P_ref / (slope
+gamma), the water level L = 1 / (ln2 price) and t = pcut / L, a loaded
+link has 1 + x = 1 / t, so Lambda = f (1 - t - ln t) / ln2 for t < 1 and 0
+for t >= 1.  :func:`_allocate` builds t and that metric per link, and power
+and x only at the winners.  ``eta`` is found one primary at a time,
 sweeping the primaries cyclically until every budget holds, each by a
 bracketed root search (:func:`_find_root`), warm-started from the last
 multipliers, until the realized budget use is tight to 1e-6 relative (or
@@ -190,7 +194,8 @@ class DualState:
     """Multipliers, iteration trace and work counts of one solve.
 
     The work counts are full passes (``_allocate`` state-evaluations / S)
-    in the warm start and in the outer iterations: hardware-independent.
+    and ``_allocate`` calls, in the warm start and in the outer iterations:
+    hardware-independent.
     """
 
     mu: float
@@ -200,6 +205,8 @@ class DualState:
     trace: dict = field(default_factory=dict)
     warm_start_passes: float = 0.0
     iteration_passes: float = 0.0
+    warm_start_calls: int = 0
+    iteration_calls: int = 0
 
 
 @dataclass(frozen=True)
@@ -227,7 +234,7 @@ class _Workspace:
     """Per-solve precomputed arrays shared by every dual iteration."""
 
     __slots__ = ("cfg", "count", "links", "density", "inv_density", "pcut", "pcut_min",
-                 "weights", "budgets", "p_ref", "streams", "evaluated")
+                 "log_pcut", "weights", "budgets", "p_ref", "streams", "evaluated", "calls")
 
     def __init__(self, cfg: ScenarioConfig, batch: BatchRealizations):
         self.cfg = cfg
@@ -236,6 +243,8 @@ class _Workspace:
         self.count = s
         self.streams = np.asarray(batch.streams)
         self.evaluated = 0          # state-evaluations of _allocate so far
+        self.calls = 0              # and its calls
+        self.log_pcut = None        # ln pcut, once a slack pass at mu > 0 needs it
 
         if cfg.constraint_mode == "probabilistic":
             cfg.check_solvable()
@@ -294,53 +303,64 @@ class _Workspace:
         return self.split(self.links[idx])
 
     def allocate(self, mu, eta, arrays):
-        """:func:`_allocate` on ``subset`` arrays, counted in ``evaluated``."""
+        """:func:`_allocate` on ``subset`` arrays, counted in ``evaluated`` and ``calls``."""
         self.evaluated += eta.shape[0]
+        self.calls += 1
         return _allocate(mu, eta, *arrays)
 
     def first_pass(self, mu):
         """Every state's allocation at eta = 0, and the states it puts over budget."""
-        alloc = self.allocate(mu, np.zeros((self.count, self.budgets.size)), self.subset())
+        if mu > 0.0 and self.log_pcut is None:     # the slack kernel ranks on it
+            self.log_pcut = np.log(self.pcut)
+        alloc = self.allocate(mu, np.zeros((self.count, self.budgets.size)),
+                              (*self.subset(), self.log_pcut))
         return alloc, np.any(alloc[3] > self.budgets * (1.0 + _TIGHT_REL), axis=1)
 
 
-def _allocate(mu, eta, inv_density, density, pcut, weights):
+def _allocate(mu, eta, inv_density, density, pcut, weights, log_pcut=None):
     """Evaluate the stationary allocation for per-state multipliers.
 
     eta is (S, M); returns winner indices, winner power/x (S, K) and the
-    enforced interference (S, M).  Winners are ``np.argmax`` over users:
-    ties go to the lowest index, and NaN (the metric of an infinite x at a
-    zero price, mu = 0 with no priced interference) is the maximum.
+    enforced interference (S, M).  With a link's price q, water level
+    L = 1 / (ln2 q) and t = pcut / L = 1 / (1 + x), the selection metric is
+    f (1 - t - ln t) / ln2, or 0 for t >= 1.  Only t and f (1 - t - ln t)+
+    are built per link, power and x only at the (S, K) winners, by the
+    stationary-power formula.  At eta = 0 and mu > 0, ln t = ln pcut +
+    ln(ln2 mu), from ``log_pcut`` if given.  Winners are ``np.argmax`` over
+    users: ties go to the lowest index (user 0 where no link is loaded),
+    and at mu = 0 a zero price at a finite cutoff (x = inf, the metric NaN
+    even where f = 0) is the maximum.
     """
-    with np.errstate(over="ignore", divide="ignore"):
-        if eta.any():
+    s, n, k = pcut.shape
+    slack = mu > 0.0 and not eta.any()      # every price is mu: one level for all links
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if slack:
+            scale = np.float64(mu) * LN2
+            metric = np.multiply(pcut, scale)                      # t, (S, N, K)
+            metric += np.log(pcut) if log_pcut is None else log_pcut
+            np.subtract(1.0 - np.log(scale), metric, out=metric)
+        else:
             priced = np.einsum("sm,smk->sk", eta, weights)         # (S, K)
-            power = np.multiply(priced[:, None, :], inv_density)   # (S, N, K)
-            power += mu                                            # the price
-            power *= LN2
-            np.divide(1.0, power, out=power)
-            power -= pcut
-        else:                   # every price is mu: one level for all links
-            power = np.divide(1.0, np.float64(mu) * LN2) - pcut
-    np.maximum(power, 0.0, out=power)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = power / pcut        # NaN where power is NaN or 0 / 0, and x is 0 there
-        np.fmax(x, 0.0, out=x)
-        metric = np.log1p(x)
-        metric /= LN2
-        ratio = x + 1.0
-        ratio *= LN2
-        metric += np.divide(x, ratio, out=ratio)
+            t = np.multiply(priced[:, None, :], inv_density)       # (S, N, K)
+            t += mu                                                # the price
+            t *= LN2
+            t *= pcut
+            metric = np.log(t)
+            metric += t
+            np.subtract(1.0, metric, out=metric)
         metric *= density
-    s, n, k = metric.shape
-    best = np.max(metric, axis=1)                                  # NaN if any is
-    winner = np.full(best.shape, n - 1)
-    for u in range(n - 2, -1, -1):          # from the last user down, so the first wins
-        winner[(metric[:, u] == best) | np.isnan(metric[:, u])] = u
-    flat = winner * k + np.arange(0, s * n * k, n * k)[:, None] + np.arange(k)
-    p_sel = power.reshape(-1)[flat]
-    x_sel = x.reshape(-1)[flat]
-    interference = np.einsum("sk,smk->sm", p_sel, weights)
+        np.fmax(metric, 0.0, out=metric)    # t >= 1 is unloaded; a NaN t has pcut = inf
+        if mu == 0.0:                       # a zero price: x = inf, the maximum at any f
+            metric[t == 0.0] = np.inf
+        hit = metric == np.max(metric, axis=1, keepdims=True)
+        rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+        winner = n - np.max(hit * rank, axis=1).astype(int)    # the first hit ranks highest
+        at = np.arange(s)[:, None], winner, np.arange(k)          # the winners' links
+        pcut_sel = pcut[at]
+        level = 1.0 / scale if slack else 1.0 / ((priced * inv_density[at] + mu) * LN2)
+        p_sel = np.maximum(level - pcut_sel, 0.0)
+        x_sel = np.fmax(p_sel / pcut_sel, 0.0)      # NaN (power NaN, or 0 / 0) gives 0
+        interference = np.einsum("sk,smk->sm", p_sel, weights)
     return winner, p_sel, x_sel, interference
 
 
@@ -664,7 +684,7 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
 
     tol_w = _POWER_GAP_REL * p_t
     mu, solved = _warm_start_mu(ws, 0.5 * tol_w)
-    warm_evaluated = ws.evaluated
+    warm_evaluated, warm_calls = ws.evaluated, ws.calls
     trace = {"iter": [], "mu": [], "primal_ase": [], "dual_value": [],
              "power_gap": []}
     for t in range(1, max_iterations + 1):
@@ -691,7 +711,8 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
         mu=trace["mu"][-1], eta=eta, iterations=t, converged=converged,
         trace={key: np.asarray(val) for key, val in trace.items()},
         warm_start_passes=warm_evaluated / s,
-        iteration_passes=(ws.evaluated - warm_evaluated) / s)
+        iteration_passes=(ws.evaluated - warm_evaluated) / s,
+        warm_start_calls=warm_calls, iteration_calls=ws.calls - warm_calls)
 
     bits = None
     if cfg.rate_mode == "discrete":

@@ -878,3 +878,96 @@ def test_slack_states_share_one_water_level(mu):
     assert p_sel.tobytes() == np.take_along_axis(power, users[:, None], 1)[:, 0].tobytes()
     assert x_sel.tobytes() == np.take_along_axis(x, users[:, None], 1)[:, 0].tobytes()
     assert np.all(np.isinf(p_sel)) == (mu == 0.0)
+
+
+def _reference_pass(mu, eta, arrays):
+    """Winner, power, x and interference of every state by ``_candidates``."""
+    power, x, metric = _candidates(mu, eta, *arrays)
+    users = np.argmax(metric, axis=1)       # ties to the lowest user; NaN is the maximum
+    p_sel = np.take_along_axis(power, users[:, None], 1)[:, 0]
+    with np.errstate(invalid="ignore"):
+        interference = np.einsum("sk,smk->sm", p_sel, arrays[3])
+    return users, p_sel, np.take_along_axis(x, users[:, None], 1)[:, 0], interference
+
+
+def _assert_same_bytes(got, want):
+    for name, a, b in zip(("winner", "power", "x", "interference"), got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("cfg, states", [
+    (deterministic_benchmark(rng_seed=6), 60),
+    (_wide_m2(rng_seed=6), 20),
+], ids=["deterministic", "wide-m2"])
+def test_slack_passes_match_the_reference_kernel(cfg, states):
+    # the kernel ranks on f (1 - t - ln t)+ with ln t from the stored ln pcut,
+    # and builds power and x at the winners only; every byte must stay
+    ws = optimizer_module._Workspace(cfg, sample_realizations(cfg, range(states)))
+    assert ws.log_pcut is None              # built by the first slack pass at mu > 0
+    mu0 = cfg.num_subcarriers / (cfg.total_power_w * LN2)
+    eta = np.zeros((states, cfg.num_primaries))
+    loaded = []
+    for mu in [*(mu0 * np.logspace(-3.0, 3.0, 25)), 0.0]:
+        with np.errstate(invalid="ignore"):
+            (winner, power, x, interference), _ = ws.first_pass(mu)
+            want = _reference_pass(mu, eta, ws.subset())
+            _assert_same_bytes((winner, power, x, interference), want)
+            # without the stored logs the kernel takes them from pcut
+            _assert_same_bytes(optimizer_module._allocate(mu, eta, *ws.subset()), want)
+        assert (ws.log_pcut is None) == (mu == 0.0 and not loaded)
+        loaded.append(np.mean(power > 0.0))
+    assert loaded[0] == 1.0 and loaded[-2] == 0.0 and 0.0 < np.median(loaded) < 1.0
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (5, 2)])
+def test_priced_passes_match_the_reference_kernel(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    s, k = 40, 12
+    for trial in range(24):
+        gamma = rng.exponential(1.0, (s, n, k))
+        gamma[rng.random((s, n, k)) < 0.2] = 0.0
+        gamma[:, :, 0] = 1e-9       # at mu > 0 no link of subcarrier 0 is loaded
+        with np.errstate(divide="ignore"):
+            pcut = 0.5 / (1.3 * gamma)
+        density = rng.uniform(0.01, 2.0, (s, n, k))
+        tiny = rng.random((s, n, k)) < 0.1
+        density[tiny] = rng.choice([0.0, 1e-310, 1e-300], np.sum(tiny))
+        with np.errstate(divide="ignore", over="ignore"):
+            inv_density = np.where(density > 1e-300, 1.0 / density, 1e300)
+        weights = rng.exponential(1.0, (s, m, k))
+        weights[:, :, rng.integers(1, k)] = 0.0
+        eta = rng.exponential(rng.choice([0.01, 1.0, 100.0]), (s, m))
+        mu = 0.0 if trial % 2 == 0 else float(rng.uniform(0.01, 3.0))
+        if mu == 0.0:
+            # rows at eta = 0 price nothing; on row 0, user 0 has no cutoff
+            # and user 1 a finite one at f = 0, which must still win
+            eta[rng.random(s) < 0.3] = 0.0
+            eta[0] = 0.0
+            pcut[0, :2, 1] = np.inf, 0.7
+            density[0, 1, 1], inv_density[0, 1, 1] = 0.0, 1e300
+        arrays = (inv_density, density, pcut, weights)
+        with np.errstate(invalid="ignore"):
+            got = optimizer_module._allocate(mu, eta, *arrays)
+            _assert_same_bytes(got, _reference_pass(mu, eta, arrays))
+        if mu > 0.0:                # the tie at 0 goes to user 0
+            assert np.all(got[0][:, 0] == 0) and np.all(got[1][:, 0] == 0.0)
+        else:
+            assert got[0][0, 1] == 1 and np.isinf(got[1][0, 1])
+
+
+def test_call_counters_over_the_ith_sweep(monkeypatch):
+    # a solve counts its _allocate calls beside its passes, split at the
+    # end of the warm start like the passes
+    calls, warm = [], []
+    kernel, warm_start = optimizer_module._allocate, optimizer_module._warm_start_mu
+    monkeypatch.setattr(optimizer_module, "_allocate",
+                        lambda *args: calls.append(1) or kernel(*args))
+    monkeypatch.setattr(optimizer_module, "_warm_start_mu",
+                        lambda *args: (warm_start(*args), warm.append(len(calls)))[0])
+    for ith in (1.0, 2.0, 5.0, 10.0, 20.0):
+        calls.clear()
+        dual = solve_dual(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
+                          num_states=60).dual
+        assert dual.warm_start_calls == warm[-1] > 0
+        assert dual.iteration_calls == len(calls) - warm[-1]
+        assert (dual.iteration_calls == 0) == (dual.iteration_passes == 0.0)
