@@ -964,10 +964,12 @@ def test_call_counters_over_the_ith_sweep(monkeypatch):
                         lambda *args: calls.append(1) or kernel(*args))
     monkeypatch.setattr(optimizer_module, "_warm_start_mu",
                         lambda *args: (warm_start(*args), warm.append(len(calls)))[0])
-    for ith in (1.0, 2.0, 5.0, 10.0, 20.0):
+    # the last solve forces two more iterations, one slack pass each
+    for ith, more in ((1.0, 0), (2.0, 0), (5.0, 0), (10.0, 0), (20.0, 0), (10.0, 2)):
         calls.clear()
         dual = solve_dual(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
-                          num_states=60).dual
+                          num_states=60, max_iterations=1 + more if more else 500,
+                          run_all_iterations=more > 0).dual
         assert dual.warm_start_calls == warm[-1] > 0
         assert dual.iteration_calls == len(calls) - warm[-1]
-        assert (dual.iteration_calls == 0) == (dual.iteration_passes == 0.0)
+        assert dual.iteration_calls == dual.iteration_passes == more
