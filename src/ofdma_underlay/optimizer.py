@@ -15,11 +15,12 @@ maximizing the selection metric
 
     Lambda = f * [ x / (ln2 (1 + x)) + log2(1 + x) ],  x = slope gamma P* / P_ref,
 
-ties to the lowest user index.  With the cutoff pcut = P_ref / (slope
-gamma), the water level L = 1 / (ln2 price) and t = pcut / L, a loaded
-link has 1 + x = 1 / t, so Lambda = f (1 - t - ln t) / ln2 for t < 1 and 0
-for t >= 1.  :func:`_allocate` builds t and that metric per link, and power
-and x only at the winners.  ``eta`` is found one primary at a time,
+ties to the lowest user index, and at mu = 0 a zero price at a finite
+cutoff (x = inf, a NaN Lambda) is the maximum.  With pcut = P_ref /
+(slope gamma), the water level L = 1 / (ln2 price) and t = pcut / L =
+1 / (1 + x), Lambda = f (1 - t - ln t) / ln2 for t < 1 and 0 for t >= 1:
+:func:`_allocate` builds t and that metric per link, and power and x only
+at the winners.  ``eta`` is found one primary at a time,
 sweeping the primaries cyclically until every budget holds, each by a
 bracketed root search (:func:`_find_root`), warm-started from the last
 multipliers, until the realized budget use is tight to 1e-6 relative (or
@@ -242,8 +243,7 @@ class _Workspace:
         n, m, k = cfg.num_users, cfg.num_primaries, cfg.num_subcarriers
         self.count = s
         self.streams = np.asarray(batch.streams)
-        self.evaluated = 0          # state-evaluations of _allocate so far
-        self.calls = 0              # and its calls
+        self.evaluated = self.calls = 0     # _allocate's state-evaluations and calls so far
         self.log_pcut = None        # ln pcut, once a slack pass at mu > 0 needs it
 
         if cfg.constraint_mode == "probabilistic":
