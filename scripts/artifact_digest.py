@@ -2,7 +2,7 @@
 
 Runs a fixed set of ``ofdma-underlay`` invocations (both presets, two
 primaries, a short imperfect band, a wideband discrete solve, zero power
-in both modes, the I_th and epsilon sweeps, three SINR tables, ``validate``
+in both modes, the I_th and epsilon sweeps, four SINR tables, ``validate``
 and ``selftest``), each in a fresh single-threaded process, and prints
 one ``sha256  path`` line per written file, sorted by path.  Every
 command writes its standard output to ``<name>/stdout.txt`` and its exit
@@ -72,6 +72,10 @@ MATRIX = [
                      "--mc-samples", "20000"]),
     ("dist-degenerate", ["dist-table", "--preset", "imperfect",
                          "--set", "cross_var=1e-30", "--set", "error_var=1e-30",
+                         "--points", "60", "--out", "{out}"]),
+    # agg_var underflows to 0 here: the point-mass law
+    ("dist-point-mass", ["dist-table", "--preset", "imperfect",
+                         "--set", "cross_var=1e-200", "--set", "error_var=1e-200",
                          "--points", "60", "--out", "{out}"]),
     ("validate", ["validate", "--preset", "imperfect", *IMP_M2]),
     ("selftest", ["selftest"]),

@@ -64,6 +64,7 @@ SWEEP_AXES = {
 
 SWEEP_HEADER = "axis_value,ase,ase_stderr,power_used,max_interf,collision,epsilon"
 TRACE_HEADER = "iter,mu,primal_ase,dual_value,power_gap"
+_PLATEAU_GAIN = 0.01    # a sweep row gaining less ASE than this share of the last is flat
 
 _log = logging.getLogger(__name__)
 
@@ -348,12 +349,12 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
     return [report for report, _ in points]
 
 
-def plateau_flags(reports, rel_gain: float = 0.01) -> list:
-    """Flag rows whose ASE gain over the previous row is below rel_gain."""
+def plateau_flags(reports) -> list:
+    """Flag rows whose ASE gain over the previous row is below _PLATEAU_GAIN."""
     flags = [False]
     for prev, cur in zip(reports, reports[1:]):
         base = max(abs(prev.ase), 1e-12)
-        flags.append((cur.ase - prev.ase) < rel_gain * base)
+        flags.append((cur.ase - prev.ase) < _PLATEAU_GAIN * base)
     return flags
 
 

@@ -89,15 +89,13 @@ def max_constellation(slope: float, gamma, power, p_ref: float):
     return m if m.ndim else float(m)
 
 
-def discretize_rate(m_size, allowed_bits=ALLOWED_BITS):
-    """Largest allowed bit load b with 2**b <= m_size (0 means silence)."""
+def discretize_rate(m_size):
+    """Largest bit load b of ALLOWED_BITS with 2**b <= m_size (0 means silence)."""
     m = np.asarray(m_size, dtype=float)
     if np.any(m < 1.0):
         raise ValueError("constellation size must be >= 1")
     bits = np.zeros(m.shape, dtype=int)
-    for b in sorted(allowed_bits):
-        if b == 0:
-            continue
+    for b in ALLOWED_BITS[1:]:          # ascending, after the silent 0
         bits = np.where(m >= float(1 << b), b, bits)
     return bits if bits.ndim else int(bits)
 

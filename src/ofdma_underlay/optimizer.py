@@ -35,13 +35,13 @@ j is G(e) = sum_k w_k [1 / (ln2 (b_k + e w_k / f_k)) - pcut_k]+, where b_k
 folds mu and the other primaries' prices together; G is convex and
 decreasing in e, so a few Newton steps on the trial's own (S, K) arrays
 find its root (:func:`_model_root`), and that root is the next trial.
-Only a winner switch moves the true root off the model's; the bracket's
-Illinois and bisection steps then take over.  Rows without a hint start
-at 1 and double first.  The ``mu`` search steps along the line in
-(log x, log y) through its last two trials, the first step along a prior
-slope of -0.5 once states bind and -1.5 before; while it has no bracket,
-each step aims 30 % of its length past the window, so one step usually
-brackets the root.
+Only a winner switch moves the true root off the model's; a proposal
+that leaves the bracket is then a bisection in log x.  Rows without a
+hint start at 1 and double first.  The ``mu`` search steps along the
+line in (log x, log y) through its last two trials, the first step along
+a prior slope of -0.5 once states bind and -1.5 before; while it has no
+bracket, each step aims 30 % of its length past the window, so one step
+usually brackets the root.
 
 The average power used is continuous and decreasing in mu, so the same root
 search on that gap initializes mu, down from K / (P_t ln2).  A state within
@@ -93,7 +93,6 @@ __all__ = [
 
 _ETA_DOUBLINGS = 60     # a root search tries x up to start * 2^(this - 1)
 _BISECT_STEPS = 90      # further trials that may narrow the bracket
-_SECANT_STREAK = 3      # steps keeping one bracket end before a bisection
 _OVERSHOOT = 0.3        # share of a one-sided step aimed past the window
 _NEWTON_STEPS = 3       # Newton steps from an eta trial to its model's root
 _MU_SLOPE_BINDING = -0.5    # prior log-log slope of power against mu once states bind,
@@ -489,31 +488,28 @@ def _find_root(evaluate, start, y_lo, y_hi, active, error, where, slope=-1.0, co
     brackets the root.  A row flagged ``cold`` (all by default) that is
     above the window at ``start`` doubles it first, and where there is no
     step (y did not fall between the trials) a row doubles or halves x.
-    Inside a bracket, a step that leaves it gives way to Illinois regula
-    falsi on the bracket ends; after _SECANT_STREAK steps keeping one end
-    the row bisects, which bounds the cost of a jump in y.  It returns the
-    least feasible x (y <= y_hi) once y is in the window or the bracket is
-    1e-12 wide.  ``error`` names ``where(row)`` and the bracket when a row
-    is still above y_hi at start * 2^(_ETA_DOUBLINGS - 1), the highest x it
-    may try.
+    Once a row has a bracket, a step that does not land strictly inside it
+    is a bisection in log x, which bounds the cost of a jump in y.  It
+    returns the least feasible x (y <= y_hi) once y is in the window or the
+    bracket is 1e-12 wide.  ``error`` names ``where(row)`` and the bracket
+    when a row is still above y_hi at start * 2^(_ETA_DOUBLINGS - 1), the
+    highest x it may try.
     """
     log_aim = math.log(0.5 * (y_lo + y_hi))
     out = np.zeros(active.size)             # the roots; inactive rows stay at 0
     rows = np.flatnonzero(active)
     # the active rows' state, one field per row of ``st``: the trial x, the
-    # bracket ends (0 and inf while open), log(y / aim) at the trial and at
-    # each end (Illinois-scaled), the streak (+n when hi was replaced n times
-    # running, -n for lo), the previous trial's log x and log(y / aim), and
-    # the highest x to try
-    st = np.zeros((10, rows.size))
+    # bracket ends (0 and inf while open), log(y / aim) at the trial, the
+    # previous trial's log x and log(y / aim), and the highest x to try
+    st = np.zeros((7, rows.size))
     st[0] = start[rows]
     st[2] = np.inf
-    st[9] = st[0] * 2.0 ** (_ETA_DOUBLINGS - 1)
+    st[6] = st[0] * 2.0 ** (_ETA_DOUBLINGS - 1)
     cold = np.ones(rows.size, dtype=bool) if cold is None else cold[rows]
     for trial in range(1, _ETA_DOUBLINGS + _BISECT_STEPS + 1):
         if rows.size == 0:
             break
-        x, lo, hi, v, vl, vh, n, up, vp, top = st
+        x, lo, hi, v, up, vp, top = st
         if 2 * rows.size <= active.size:        # a gather copies the arrays
             y, at = evaluate(x, rows), np.arange(rows.size)
         else:
@@ -527,14 +523,8 @@ def _find_root(evaluate, start, y_lo, y_hi, active, error, where, slope=-1.0, co
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.log(y, out=v)
             v -= log_aim
-            np.multiply(vl, 0.5, out=vl, where=feas & (n > 0.0))
-            np.multiply(vh, 0.5, out=vh, where=infeas & (n < 0.0))
-            n *= (n > 0.0) == feas
-            n += feas
-            n -= infeas
-            n[(lo == 0.0) | (hi == np.inf)] = 0.0         # the streak starts in a bracket
-            np.copyto(st[2:6:3], st[0:6:3], where=feas)         # (hi, vh) = (x, v)
-            np.copyto(st[1:6:3], st[0:6:3], where=infeas)       # (lo, vl) = (x, v)
+            np.copyto(hi, x, where=feas)
+            np.copyto(lo, x, where=infeas)
             if (lo >= top).any():
                 pos = int(np.argmax(lo >= top))
                 raise error("%s: %.6g > %.6g after %d trials; final bracket [%.6g, inf)"
@@ -553,10 +543,7 @@ def _find_root(evaluate, start, y_lo, y_hi, active, error, where, slope=-1.0, co
                 if not done.all():
                     line[~done] = np.log(propose(at[~done]))
                 propose = None          # frees the trial's arrays before the next one
-            falsi = u_hi - vh * (u_hi - u_lo) / (vh - vl)
-            fresh = np.abs(n) < _SECANT_STREAK              # n is 0 on open rows
-            step = np.where((falsi > u_lo) & (falsi < u_hi) & fresh, falsi, 0.5 * (u_lo + u_hi))
-            step = np.exp(np.where((line > u_lo) & (line < u_hi) & fresh, line, step))
+            step = np.exp(np.where((line > u_lo) & (line < u_hi), line, 0.5 * (u_lo + u_hi)))
         # an open row without a step doubles or halves, and a cold row's first step up doubles
         step = np.where(step == 0.0, 0.5 * hi, np.where(step == np.inf, 2.0 * lo, step))
         if trial == 1:

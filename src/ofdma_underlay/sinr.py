@@ -107,8 +107,10 @@ class SinrDistribution:
         if min(np.min(self.direct_mean), self.budget_w, self.total_power_w,
                self.noise_w) <= 0.0:
             raise ValueError("direct_mean, budget_w, total_power_w, noise_w must be > 0")
-        if self.agg_mean <= 0.0 or self.agg_var < 0.0:
-            raise ValueError("aggregate moments must satisfy mean > 0, var >= 0")
+        # a zero mean is a zero cross gain, a point mass at 0
+        if self.agg_mean < 0.0 or self.agg_var < 0.0 or (self.agg_mean == 0.0 < self.agg_var):
+            raise ValueError("aggregate moments must satisfy mean >= 0, var >= 0, "
+                             "and var = 0 at mean 0")
 
     # -- shared internals ---------------------------------------------------
 
@@ -136,6 +138,8 @@ class SinrDistribution:
     @property
     def ref_power_w(self) -> float:
         """P_ref = min(P_t / K, I / N) at the mean aggregate cross gain N."""
+        if self.agg_mean == 0.0:                # no cross gain: the budget never caps
+            return self.total_power_w / self.num_subcarriers
         return min(self.total_power_w / self.num_subcarriers,
                    self.budget_w / self.agg_mean)
 

@@ -738,6 +738,60 @@ def test_find_root_brackets_a_power_law_in_one_step():
             assert count == 3 or trials[1] == 2.0 * start
 
 
+def _jump(xstar, proposing, trials):
+    """y = 2 below x* and 0.5 from x* on; a proposal aims past the jump."""
+    def evaluate(x, rows):
+        x = x.copy()
+        xs = xstar if rows is None else xstar[rows]
+        trials.append(x)
+        y = np.where(x < xs, 2.0, 0.5)
+        if not proposing:
+            return y
+        return y, lambda i: np.where(x[i] < xs[i], 1.5 * xs[i], 0.7 * xs[i])
+    return evaluate
+
+
+@pytest.mark.parametrize("proposing", [False, True])
+def test_find_root_across_a_jump(proposing):
+    xstar = np.array([3.7, 0.02, 55.0, 1.0])
+    trials = []
+    x = _root(_jump(xstar, proposing, trials), np.ones(4))
+    assert np.all((xstar <= x) & (x <= xstar + 1e-12 * np.maximum(xstar, 1.0)))
+    assert len(trials) <= 50
+    # once a lone row has a bracket, every trial lands strictly inside it
+    for one in xstar:
+        trials = []
+        _root(_jump(np.array([one]), proposing, trials), np.ones(1))
+        lo, hi = 0.0, math.inf
+        for trial in (float(t[0]) for t in trials):
+            if lo > 0.0 and hi < math.inf:
+                assert lo < trial < hi
+            if trial < one:
+                lo = trial
+            else:
+                hi = trial
+
+
+def test_single_subcarrier_solves_in_few_calls():
+    # the Illinois and streak fallbacks spent 15-30 _allocate calls here
+    for seed in range(1, 6):
+        cfg = deterministic_benchmark(rng_seed=seed, num_subcarriers=1,
+                                      interference_limit_w=(0.3,))
+        dual = solve_dual(cfg, num_states=60).dual
+        assert dual.warm_start_calls + dual.iteration_calls <= 10
+
+
+def test_zero_cross_gain_solves_at_every_correlation():
+    # error_var == cross_var leaves a zero-mean estimate of variance 0 up to
+    # rounding: exactly 0 at rho = 0 and 0.9, so the aggregate cross gain is 0
+    ases = []
+    for rho in (0.0, 0.5, 0.9):
+        cfg = deterministic_benchmark(csi_mode="imperfect", error_var=0.1,
+                                      cross_mean=0j, correlation=rho)
+        ases.append(solve_dual(cfg, num_states=50).ase)
+    assert ases == pytest.approx([ases[0]] * 3, rel=1e-9, abs=0.0)
+
+
 def test_power_bounds_under_the_budgets_set_mu_zero_without_a_trial():
     # each state puts at most budget / (least weight) into the band; on the
     # imperfect preset those bounds average below P_t, so the solve is the probe

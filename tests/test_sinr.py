@@ -191,6 +191,16 @@ def test_degenerate_aggregate_is_plain_exponential():
         assert dist.pdf(g) == pytest.approx(0.1 / p_ref * math.exp(-g * 0.1 / p_ref))
 
 
+def test_zero_aggregate_is_a_point_mass_at_full_power():
+    dist = SinrDistribution(direct_mean=2.0, agg_mean=0.0, agg_var=0.0, budget_w=1.0,
+                            total_power_w=32.0, noise_w=0.1, num_subcarriers=64)
+    assert dist.ref_power_w == 0.5                  # no cross gain: the budget never caps
+    assert dist.survival(3.0) == pytest.approx(math.exp(-3.0 * 0.1 / (0.5 * 2.0)))
+    for mean, var in ((0.0, 1e-30), (-1e-30, 0.0), (1.0, -1e-30)):
+        with pytest.raises(ValueError, match="aggregate moments"):
+            dataclasses.replace(dist, agg_mean=mean, agg_var=var)
+
+
 def _quadrature_survival(dist, g):
     """A(G) + B(G) with B integrated numerically over the standardized gain."""
     mu, std = dist.agg_mean, math.sqrt(dist.agg_var)
