@@ -110,14 +110,12 @@ class EvaluationReport:
     collision_mc_max: list | None = None
     collision_mc_stderr: float | None = None
     audited_states: int = 0
-    # a sweep row's time leaves out the audit that the sweep runs for all rows
-    elapsed_s: float = 0.0
     result: SolveResult | None = field(default=None, repr=False)
     collision_analytic: np.ndarray | None = field(default=None, repr=False)
 
     def to_mapping(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("elapsed_s", "result", "collision_analytic")}
+                if f.name not in ("result", "collision_analytic")}
 
 
 def _zero_power_report(cfg: ScenarioConfig, num_states: int) -> EvaluationReport:
@@ -249,11 +247,8 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
         raise ConfigError("num_states must be >= 1")
     if audit_states < 0 or audit_samples < 1:
         raise ConfigError("audit_states must be >= 0 and audit_samples >= 1")
-    start = time.perf_counter()
     if cfg.total_power_w == 0.0:
-        report = _zero_power_report(cfg, num_states)
-        report.elapsed_s = time.perf_counter() - start
-        return report
+        return _zero_power_report(cfg, num_states)
 
     shared, pending = _sweep_point.get() or (None, None)
     batch = shared or sample_realizations(cfg, range(num_states))
@@ -302,7 +297,6 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
             _audit_collisions([audit])
         else:
             pending.append(audit)
-    report.elapsed_s = time.perf_counter() - start
     return report
 
 

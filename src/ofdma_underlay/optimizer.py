@@ -37,14 +37,14 @@ decreasing in e, so a few Newton steps on the trial's own (S, K) arrays
 find its root (:func:`_model_root`), and that root is the next trial.
 Only a winner switch moves the true root off the model's; a proposal
 that leaves the bracket is then a bisection in log x.  Rows without a
-hint start at 1 and double first.  The ``mu`` search steps along the
-line in (log x, log y) through its last two trials, the first step along
-a prior slope of -0.5 once states bind and -1.5 before; while it has no
-bracket, each step aims 30 % of its length past the window, so one step
-usually brackets the root.
+hint start at 1 and double first.
 
-The average power used is continuous and decreasing in mu, so the same root
-search on that gap initializes mu, down from K / (P_t ln2).  A state within
+The average power used falls with mu, so a scalar root search on that
+gap initializes mu (:func:`_warm_start_mu`), down from K / (P_t ln2).  It
+steps along the line in (log mu, log P) through its last two trials, the
+first step along a prior slope of -0.5 once states bind and -1.5 before;
+while it has no bracket, each step aims 30 % of its length past the
+window, so one step usually brackets the root.  A state within
 its budgets puts at most budget / (least weight) into the band, so when
 those bounds average to P_t or less, P(0) <= P_t and mu = 0 without a
 trial.  Otherwise mu = 0 is probed only once two trials with states to
@@ -363,10 +363,10 @@ def _allocate(mu, eta, inv_density, density, pcut, weights, log_pcut=None):
     return winner, p_sel, x_sel, interference
 
 
-def _solve_states(ws: _Workspace, mu: float, eta_start: np.ndarray, first=None):
-    """Per-state inner problem: allocation plus tight multipliers (reuses ``first``)."""
+def _solve_states(ws: _Workspace, mu: float, eta_start: np.ndarray):
+    """Per-state allocation and tight eta; eta > 0 only where eta = 0 breaks a budget."""
     eta = np.zeros((ws.count, ws.cfg.num_primaries))
-    alloc, bad = first or ws.first_pass(mu)
+    alloc, bad = ws.first_pass(mu)
     if np.any(bad):
         idx = np.nonzero(bad)[0]
         eta[idx] = _tighten(ws, mu, idx, eta_start[idx], alloc)
@@ -417,10 +417,10 @@ def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray, a
             hint = np.where(eta[:, j] > 0.0, eta[:, j], eta_hint[:, j])
             eta[:, j] = _find_root(
                 functools.partial(search, j, budget), np.where(hint > 0.0, hint, 1.0),
-                budget * (1.0 - _TIGHT_REL), budget, at_zero > top, InfeasibleError,
+                budget * (1.0 - _TIGHT_REL), budget, at_zero > top,
                 lambda row: "no finite multiplier meets primary %d's budget at "
                 "state %d (stream %d)" % (j, idx[row], ws.streams[idx[row]]),
-                cold=hint == 0.0)
+                hint == 0.0)
         over = alloc[3][idx] > budgets * (1.0 + _TIGHT_REL)
         if not np.any(over):
             return eta
@@ -474,93 +474,69 @@ def _model_root(aim, mu, j, eta_j, trial, winner, arrays, sel):
     return e
 
 
-def _find_root(evaluate, start, y_lo, y_hi, active, error, where, slope=-1.0, cold=None):
+def _find_root(evaluate, start, y_lo, y_hi, active, where, cold):
     """Per-row x > 0 with y(x) in [y_lo, y_hi], for a y that falls with x.
 
-    ``evaluate(x, rows)`` gives y at x for the listed rows, or all rows
-    when ``rows`` is None; or it gives (y, propose), where ``propose(i)``
-    is the next trial of the evaluated rows ``i``.  Rows flagged ``active``
-    need y(0) > y_hi; the rest return 0.  A row tries ``start``, then the
-    proposed x, or without a proposal steps along the line in
-    (log x, log y) through its last two trials, or through its first trial
-    with slope ``slope``.  Until a row has a bracket, a line step aims
-    _OVERSHOOT of its length past the window, so that one step usually
-    brackets the root.  A row flagged ``cold`` (all by default) that is
-    above the window at ``start`` doubles it first, and where there is no
-    step (y did not fall between the trials) a row doubles or halves x.
-    Once a row has a bracket, a step that does not land strictly inside it
-    is a bisection in log x, which bounds the cost of a jump in y.  It
-    returns the least feasible x (y <= y_hi) once y is in the window or the
-    bracket is 1e-12 wide.  ``error`` names ``where(row)`` and the bracket
-    when a row is still above y_hi at start * 2^(_ETA_DOUBLINGS - 1), the
-    highest x it may try.
+    ``evaluate(x, rows)`` gives (y, propose) for the listed rows, or all
+    rows when ``rows`` is None: y at x, and ``propose(i)``, the next trial
+    of the evaluated rows ``i``.  Rows flagged ``active`` need
+    y(0) > y_hi; the rest return 0.  A row tries ``start``, then the
+    proposed x; a row flagged ``cold`` that is above the window at
+    ``start`` doubles it first.  A proposal that does not land strictly
+    inside the row's bracket is a bisection in log x, which bounds the
+    cost of a jump in y, and while the bracket is open that doubles or
+    halves x.  It returns the least feasible x (y <= y_hi) once y is in
+    the window or the bracket is 1e-12 wide, and raises InfeasibleError
+    naming ``where(row)`` and the bracket when a row is still above y_hi
+    at start * 2^(_ETA_DOUBLINGS - 1), the highest x it may try.
     """
-    log_aim = math.log(0.5 * (y_lo + y_hi))
     out = np.zeros(active.size)             # the roots; inactive rows stay at 0
     rows = np.flatnonzero(active)
     # the active rows' state, one field per row of ``st``: the trial x, the
-    # bracket ends (0 and inf while open), log(y / aim) at the trial, the
-    # previous trial's log x and log(y / aim), and the highest x to try
-    st = np.zeros((7, rows.size))
+    # bracket ends (0 and inf while open), and the highest x to try
+    st = np.zeros((4, rows.size))
     st[0] = start[rows]
     st[2] = np.inf
-    st[6] = st[0] * 2.0 ** (_ETA_DOUBLINGS - 1)
-    cold = np.ones(rows.size, dtype=bool) if cold is None else cold[rows]
+    st[3] = st[0] * 2.0 ** (_ETA_DOUBLINGS - 1)
+    cold = cold[rows]
     for trial in range(1, _ETA_DOUBLINGS + _BISECT_STEPS + 1):
         if rows.size == 0:
             break
-        x, lo, hi, v, up, vp, top = st
+        x, lo, hi, top = st
         if 2 * rows.size <= active.size:        # a gather copies the arrays
-            y, at = evaluate(x, rows), np.arange(rows.size)
+            (y, propose), at = evaluate(x, rows), np.arange(rows.size)
         else:
             full = out.copy()
             full[rows] = x
-            y, at = evaluate(full, None), rows
-        y, propose = y if isinstance(y, tuple) else (y, None)
+            (y, propose), at = evaluate(full, None), rows
         y = y[at]
         feas = y <= y_hi
-        infeas = ~feas
+        np.copyto(hi, x, where=feas)
+        np.copyto(lo, x, where=~feas)
+        if (lo >= top).any():
+            pos = int(np.argmax(lo >= top))
+            raise InfeasibleError("%s: %.6g > %.6g after %d trials; final bracket [%.6g, inf)"
+                                  % (where(rows[pos]), y[pos], y_hi, trial, lo[pos]))
+        narrow = (hi - lo <= 1e-12 * np.maximum(hi, 1.0)) & (hi < np.inf)
+        done = (feas & (y >= y_lo)) | narrow
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.log(y, out=v)
-            v -= log_aim
-            np.copyto(hi, x, where=feas)
-            np.copyto(lo, x, where=infeas)
-            if (lo >= top).any():
-                pos = int(np.argmax(lo >= top))
-                raise error("%s: %.6g > %.6g after %d trials; final bracket [%.6g, inf)"
-                            % (where(rows[pos]), y[pos], y_hi, trial, lo[pos]))
-            narrow = (hi - lo <= 1e-12 * np.maximum(hi, 1.0)) & (hi < np.inf)
-            done = (feas & (y >= y_lo)) | narrow
-
-            u, u_lo, u_hi = np.log(st[:3])
-            open_ = (lo == 0.0) | (hi == np.inf)
-            if propose is None:
-                # every row makes its first trial together, at ``start``
-                inv = 1.0 / slope if trial == 1 else (u - up) / (v - vp)
-                line = u - (1.0 + _OVERSHOOT * open_) * v * inv
-            else:
-                line = np.full(rows.size, np.nan)
-                if not done.all():
-                    line[~done] = np.log(propose(at[~done]))
-                propose = None          # frees the trial's arrays before the next one
+            u_lo, u_hi = np.log(st[1:3])
+            line = np.full(rows.size, np.nan)
+            if not done.all():
+                line[~done] = np.log(propose(at[~done]))
+            propose = None              # frees the trial's arrays before the next one
             step = np.exp(np.where((line > u_lo) & (line < u_hi), line, 0.5 * (u_lo + u_hi)))
-        # an open row without a step doubles or halves, and a cold row's first step up doubles
+        # an open row bisects to 0 or inf: it halves or doubles instead
         step = np.where(step == 0.0, 0.5 * hi, np.where(step == np.inf, 2.0 * lo, step))
-        if trial == 1:
+        if trial == 1:                  # a cold row's first step up doubles
             step = np.where(feas | ~cold, step, 2.0 * lo)
         np.minimum(step, top, out=x)
-        up[:] = u
-        vp[:] = v
         if done.any():
             out[rows[done]] = hi[done]
             keep = ~done
             rows, st = rows[keep], st[:, keep]
     out[rows] = st[2]
     return out
-
-
-class _SlackAtZero(Exception):
-    """The mu = 0 probe kept the power within P_t: the search ends there."""
 
 
 def _warm_start_mu(ws: _Workspace, tol_w: float):
@@ -570,13 +546,20 @@ def _warm_start_mu(ws: _Workspace, tol_w: float):
     on the feasible side of a jump across that window), or 0 if
     P(0) <= P_t.  That holds without a trial when the states' power bounds
     under their budgets average to P_t or less.  Otherwise the search
-    starts at K / (P_t ln2), on the feasible side, with a prior slope of
-    -0.5 if that trial has states to tighten and -1.5 if not.  P(0) is
+    starts at K / (P_t ln2), on the feasible side (above the window there,
+    it doubles mu first), and steps along the line in (log mu, log P)
+    through its last two trials, or through the first along a slope of
+    -0.5 if it has states to tighten and -1.5 if not.  Until it has a
+    bracket a step aims _OVERSHOOT of its length past the window; a step
+    that does not land strictly inside the bracket is a bisection in
+    log mu, which halves or doubles mu while the bracket is open.  P(0) is
     probed (from eta = 0) once two trials with states to tighten have both
     kept the power within P_t; a trial above P_t shows that P(0) > P_t, so
     binding points skip the probe.  ``solved`` is :func:`_solve_states` at
     mu0: the probe, or the latest trial within P_t + tol_w, which is the
-    root the search returns.
+    least such mu tried once the power is in the window or the bracket is
+    1e-12 wide.  ConvergenceError names the bracket when the power is still
+    above the window at K / (P_t ln2) 2^(_ETA_DOUBLINGS - 1).
     """
     p_t = ws.cfg.total_power_w
     eta = np.zeros((ws.count, ws.cfg.num_primaries))
@@ -586,42 +569,52 @@ def _warm_start_mu(ws: _Workspace, tol_w: float):
         most = np.min(ws.budgets / np.min(ws.weights, axis=2), axis=1)
     if np.mean(most) <= p_t:
         return 0.0, _solve_states(ws, 0.0, eta)
-    mu0 = ws.cfg.num_subcarriers / (p_t * LN2)
-    first = ws.first_pass(mu0)
+    y_lo, y_hi = p_t - tol_w, p_t + tol_w
+    log_aim = math.log(0.5 * (y_lo + y_hi))
+    mu = ws.cfg.num_subcarriers / (p_t * LN2)
+    top = mu * 2.0 ** (_ETA_DOUBLINGS - 1)
+    lo, hi = 0.0, math.inf      # the bracket: power above y_hi at lo, within it at hi
     below = 0               # tightened trials within P_t; -1 once P(0) > P_t is shown
-    kept = None             # the latest states solved within P_t + tol_w
-
-    def power_at(mu, rows):
-        nonlocal eta, first, below, kept
-        mu = float(mu[0])
-        trial, first = first or ws.first_pass(mu), None
-        tightened = np.any(trial[1])
-        solved = _solve_states(ws, mu, eta, trial)
+    kept = None             # the latest states solved within y_hi
+    for trial in range(1, _ETA_DOUBLINGS + _BISECT_STEPS + 1):
+        solved = _solve_states(ws, mu, eta)
         eta, power = solved[4], np.mean(np.sum(solved[1], axis=1))
-        kept = solved if power <= p_t + tol_w else kept
+        if power <= y_hi:
+            kept, hi = solved, mu
+        else:
+            lo = mu
+            if lo >= top:
+                raise ConvergenceError(
+                    "cannot bracket the power multiplier: average power: %.6g > %.6g "
+                    "after %d trials; final bracket [%.6g, inf)" % (power, y_hi, trial, lo))
         if power > p_t:
             below = -1
-        elif tightened and below >= 0:
+        elif below >= 0 and eta.any():
             below += 1
             if below == 2:
-                trial = solved = None           # free these before the probe
                 probe = _solve_states(ws, 0.0, np.zeros_like(eta))
                 if np.mean(np.sum(probe[1], axis=1)) <= p_t:
-                    kept = probe
-                    raise _SlackAtZero
+                    return 0.0, probe
                 below = -1
-        return np.array([power])
-
-    # P falls about as mu^-0.5 once states bind, and faster than 1 / mu before
-    slope = _MU_SLOPE_BINDING if np.any(first[1]) else _MU_SLOPE_FREE
-    try:
-        mu = float(_find_root(
-            power_at, np.array([mu0]), p_t - tol_w, p_t + tol_w, np.ones(1, dtype=bool),
-            ConvergenceError, lambda row: "cannot bracket the power multiplier: average power",
-            slope)[0])
-    except _SlackAtZero:
-        mu = 0.0
-    return mu, kept
+        if y_lo <= power <= y_hi or (hi - lo <= 1e-12 * max(hi, 1.0) and hi < math.inf):
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u, u_lo, u_hi, v = np.log(mu), np.log(lo), np.log(hi), np.log(power) - log_aim
+            if trial == 1:      # P falls about as mu^-0.5 once states bind, faster before
+                inv = 1.0 / (_MU_SLOPE_BINDING if eta.any() else _MU_SLOPE_FREE)
+            else:
+                inv = (u - up) / (v - vp)
+            line = u - (1.0 + _OVERSHOOT * (lo == 0.0 or hi == math.inf)) * v * inv
+            step = np.exp(line if u_lo < line < u_hi else 0.5 * (u_lo + u_hi))
+        if step == 0.0:         # an open bracket bisects to 0 or inf: halve or double
+            step = 0.5 * hi
+        elif step == math.inf:
+            step = 2.0 * lo
+        if trial == 1 and power > y_hi:     # the first step up doubles
+            step = 2.0 * lo
+        mu, up, vp = float(min(step, top)), u, v
+        solved = None           # hold only ``kept`` through the next trial
+    return hi, kept
 
 
 def _dual_bound(ws: _Workspace, mu: float, eta: np.ndarray) -> float:
@@ -713,7 +706,7 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
         cfg=cfg, policies=policies, dual=dual_state, state_rates=state_rates,
         ase=float(np.mean(state_rates)),
         ase_stderr=float(np.std(state_rates, ddof=1) / math.sqrt(s)) if s > 1 else 0.0,
-        avg_power_w=float(np.mean(np.sum(p_sel, axis=1))),
+        avg_power_w=avg_power,
         enforced_interference=interf, budgets_w=ws.budgets,
         reference_power_w=ws.p_ref, streams=ws.streams)
 

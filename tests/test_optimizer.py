@@ -3,6 +3,7 @@
 import gc
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -402,19 +403,27 @@ def test_nonconvergence_attaches_partial_result(monkeypatch):
 # root search and work counters
 
 
-def _falling(scale, offset=0.05):
-    """y = scale x^-1.5 + offset / x per row: falls with x, not a pure power."""
+def _falling(scale, offset=0.05, aim=1.0 - 5e-7):
+    """y = scale x^-1.5 + offset / x per row: falls with x, not a pure power.
+
+    The proposal is a Newton step in x towards y = aim.  y is convex, so
+    from below the root the step stays below it, and from above it lands
+    below the root, or below 0.
+    """
     def evaluate(x, rows):
         c = scale if rows is None else scale[rows]
-        return c * x ** -1.5 + offset / x
+        y = c * x ** -1.5 + offset / x
+        return y, lambda i: x[i] + (y[i] - aim) / (1.5 * c[i] * x[i] ** -2.5
+                                                   + offset / x[i] ** 2)
     return evaluate
 
 
-def _root(evaluate, start, active=None, error=InfeasibleError, y_hi=1.0):
+def _root(evaluate, start, active=None, y_hi=1.0):
     start = np.asarray(start, dtype=float)
     active = np.ones(start.size, dtype=bool) if active is None else active
-    return optimizer_module._find_root(evaluate, start, y_hi * (1.0 - 1e-6), y_hi,
-                                       active, error, lambda row: "row %d" % row)
+    return optimizer_module._find_root(evaluate, start, y_hi * (1.0 - 1e-6), y_hi, active,
+                                       lambda row: "row %d" % row,
+                                       np.ones(start.size, dtype=bool))
 
 
 def test_find_root_from_hints_above_and_below_the_root():
@@ -427,9 +436,11 @@ def test_find_root_from_hints_above_and_below_the_root():
 
     start = np.array([1.0, 1.0, 1.0, 50.0])    # below, below, above, above
     x = _root(evaluate, start)
-    y = _falling(scale)(x, None)
+    y = _falling(scale)(x, None)[0]
     assert np.all((y <= 1.0) & (y >= 1.0 - 1e-6))
     assert np.array_equal(trials[0][0], start) and trials[0][1] is None
+    # a cold row above the window doubles before it takes a proposal
+    assert np.array_equal(trials[1][0][:2], 2.0 * start[:2])
     assert x[1] > 1.0 and x[2] < 1.0 and x[3] < 50.0
     # a hint already in the window costs one evaluation
     trials.clear()
@@ -456,13 +467,13 @@ def test_find_root_keeps_no_state_between_calls():
     # a search run inside another's evaluations must not disturb either
     scale_a, scale_b = np.array([1.0, 40.0]), np.array([0.3, 7.0, 2.0, 0.01])
     alone_a = _root(_falling(scale_a), np.ones(2))
-    alone_b = _root(_falling(scale_b), np.full(4, 3.0), y_hi=2.0)
+    alone_b = _root(_falling(scale_b, aim=2.0 - 1e-6), np.full(4, 3.0), y_hi=2.0)
     module_state = dict(vars(optimizer_module))
     inner = []
 
     def nested(x, rows):
         inner.append(_root(_falling(scale_a), np.ones(2)))
-        return _falling(scale_b)(x, rows)
+        return _falling(scale_b, aim=2.0 - 1e-6)(x, rows)
 
     assert np.array_equal(_root(nested, np.full(4, 3.0), y_hi=2.0), alone_b)
     assert len(inner) > 1 and all(np.array_equal(r, alone_a) for r in inner)
@@ -471,12 +482,11 @@ def test_find_root_keeps_no_state_between_calls():
 
 def test_find_root_error_names_row_and_bracket():
     def never_feasible(x, rows):
-        return np.full(x.shape, 5.0)
+        return np.full(x.shape, 5.0), lambda i: x[i]
 
-    with pytest.raises(ConvergenceError, match=r"row 1: 5 > 1 after 60 trials; "
+    with pytest.raises(InfeasibleError, match=r"row 1: 5 > 1 after 60 trials; "
                        r"final bracket \[5\.76461e\+17, inf\)"):
-        _root(never_feasible, np.ones(3), active=np.array([False, True, False]),
-              error=ConvergenceError)
+        _root(never_feasible, np.ones(3), active=np.array([False, True, False]))
 
 
 def test_unbracketed_multiplier_names_state_stream_and_primary(monkeypatch):
@@ -529,6 +539,19 @@ def test_full_passes_with_two_binding_primaries():
     assert np.all(dual.eta > 0.0)           # every state binds both primaries
     # a closing pass after each cyclic sweep spent 168.40 here
     assert dual.warm_start_passes + dual.iteration_passes <= 158.40
+
+
+@pytest.mark.parametrize("cfg", [
+    deterministic_benchmark(rng_seed=6, interference_limit_w=(2.0,)),
+    _binding_m2(),
+], ids=["ith2", "binding-m2"])
+def test_states_with_a_multiplier_are_the_first_pass_violators(cfg):
+    # the mu search tells a trial with states to tighten by its solved eta;
+    # every state is over budget at mu <= 2, and 0 and 33 of 60 are at mu = 5
+    ws = optimizer_module._Workspace(cfg, sample_realizations(cfg, range(60)))
+    for mu in (0.1, 0.5, 2.0, 5.0):
+        eta = optimizer_module._solve_states(ws, mu, np.zeros((60, cfg.num_primaries)))[4]
+        assert np.array_equal(np.any(eta > 0.0, axis=1), ws.first_pass(mu)[1])
 
 
 def _two_sweep_allocate(mu, eta, *arrays):
@@ -713,63 +736,101 @@ def test_work_counters_over_the_ith_sweep(monkeypatch):
     assert passes[10.0] <= 6.0 and passes[20.0] <= 6.0
 
 
-def test_find_root_brackets_a_power_law_in_one_step():
+def _power_search(monkeypatch, power, binding=False):
+    """``_warm_start_mu`` at P_t = 1 W, K = 1 and tol 5e-7 W on one stand-in state.
+
+    Its average power is ``power(mu)``, with a state to tighten if
+    ``binding``.  Returns (mu, solved, mus tried); the search starts at
+    mu0 = 1 / ln2.
+    """
+    mus = []
+
+    def solve_states(ws, mu, eta_start):
+        mus.append(mu)
+        return None, np.array([[power(mu)]]), None, None, np.full((1, 1), float(binding))
+
+    monkeypatch.setattr(optimizer_module, "_solve_states", solve_states)
+    ws = SimpleNamespace(cfg=SimpleNamespace(total_power_w=1.0, num_subcarriers=1,
+                                             num_primaries=1),
+                         count=1, budgets=np.array([1.0]), weights=np.full((1, 1, 1), 0.5))
+    return (*optimizer_module._warm_start_mu(ws, 5e-7), mus)
+
+
+def test_mu_search_brackets_a_power_law_in_one_step(monkeypatch):
     # along the exact slope a step lands _OVERSHOOT past the window, and the
     # line through the two trials then hits the aim; from below, the first
-    # step doubles
-    aim = 1.0 - 5e-7
-    for exponent in (-1.5, -0.5):
+    # step doubles.  The prior slope is -0.5 once states bind, -1.5 before
+    mu0 = 1.0 / LN2
+    for exponent, binding in ((-1.5, False), (-0.5, True)):
         for start, count in ((0.2, 4), (9.0, 3)):
-            trials = []
+            root = mu0 / start
 
-            def evaluate(x, rows):
-                trials.append(float(x[0]))
-                return x ** exponent
+            def power(mu):
+                return (mu / root) ** exponent
 
-            x = optimizer_module._find_root(evaluate, np.array([start]), 1.0 - 1e-6, 1.0,
-                                            np.ones(1, dtype=bool), InfeasibleError, str,
-                                            exponent)
-            assert abs(x[0] ** exponent - aim) <= 5e-7
-            assert len(trials) == count
-            base = trials[-3]
+            mu, solved, mus = _power_search(monkeypatch, power, binding)
+            assert abs(power(mu) - 1.0) <= 5e-7
+            assert mu == mus[-1] and solved[1][0, 0] == power(mu)
+            assert len(mus) == count
+            base = mus[-3]
             past = base * math.exp(-(1.0 + optimizer_module._OVERSHOOT)
-                                   * math.log(base ** exponent / aim) / exponent)
-            assert trials[-2] == pytest.approx(past, rel=1e-12)
-            assert count == 3 or trials[1] == 2.0 * start
+                                   * math.log(power(base)) / exponent)
+            assert mus[-2] == pytest.approx(past, rel=1e-12)
+            assert count == 3 or mus[1] == 2.0 * mus[0]
 
 
-def _jump(xstar, proposing, trials):
+def test_mu_search_error_names_the_bracket(monkeypatch):
+    # a power that never falls doubles mu up to mu0 2^59, then gives up
+    with pytest.raises(ConvergenceError, match=r"cannot bracket the power multiplier: "
+                       r"average power: 5 > 1 after 60 trials; "
+                       r"final bracket \[8\.31657e\+17, inf\)$"):
+        _power_search(monkeypatch, lambda mu: 5.0)
+
+
+def _jump(xstar, trials):
     """y = 2 below x* and 0.5 from x* on; a proposal aims past the jump."""
     def evaluate(x, rows):
         x = x.copy()
         xs = xstar if rows is None else xstar[rows]
         trials.append(x)
         y = np.where(x < xs, 2.0, 0.5)
-        if not proposing:
-            return y
         return y, lambda i: np.where(x[i] < xs[i], 1.5 * xs[i], 0.7 * xs[i])
     return evaluate
 
 
-@pytest.mark.parametrize("proposing", [False, True])
-def test_find_root_across_a_jump(proposing):
+def _inside_the_bracket(trials, xstar):
+    """Once a bracket is known, every trial lands strictly inside it."""
+    lo, hi = 0.0, math.inf
+    for trial in trials:
+        if lo > 0.0 and hi < math.inf:
+            assert lo < trial < hi
+        if trial < xstar:
+            lo = trial
+        else:
+            hi = trial
+
+
+def test_find_root_across_a_jump():
     xstar = np.array([3.7, 0.02, 55.0, 1.0])
     trials = []
-    x = _root(_jump(xstar, proposing, trials), np.ones(4))
+    x = _root(_jump(xstar, trials), np.ones(4))
     assert np.all((xstar <= x) & (x <= xstar + 1e-12 * np.maximum(xstar, 1.0)))
     assert len(trials) <= 50
-    # once a lone row has a bracket, every trial lands strictly inside it
     for one in xstar:
         trials = []
-        _root(_jump(np.array([one]), proposing, trials), np.ones(1))
-        lo, hi = 0.0, math.inf
-        for trial in (float(t[0]) for t in trials):
-            if lo > 0.0 and hi < math.inf:
-                assert lo < trial < hi
-            if trial < one:
-                lo = trial
-            else:
-                hi = trial
+        _root(_jump(np.array([one]), trials), np.ones(1))
+        _inside_the_bracket([float(t[0]) for t in trials], one)
+
+
+def test_mu_search_across_a_jump(monkeypatch):
+    # the power jumps from 2 W to 0.5 W across the window at mu*: the search
+    # returns the feasible end of a 1e-12 bracket
+    for ratio in (3.7, 0.02, 55.0, 1.0):
+        jump = ratio / LN2
+        mu, solved, mus = _power_search(monkeypatch, lambda mu: 2.0 if mu < jump else 0.5)
+        assert jump <= mu <= jump + 1e-12 * max(jump, 1.0)
+        assert solved[1][0, 0] == 0.5 and len(mus) <= 50
+        _inside_the_bracket(mus, jump)
 
 
 def test_single_subcarrier_solves_in_few_calls():
