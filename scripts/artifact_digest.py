@@ -2,14 +2,15 @@
 
 Runs a fixed set of ``ofdma-underlay`` invocations (both presets, two
 primaries, a short imperfect band, a wideband discrete solve, zero power
-in both modes, the I_th and epsilon sweeps, four SINR tables, ``validate``
-and ``selftest``), each in a fresh single-threaded process, and prints
-one ``sha256  path`` line per written file, sorted by path.  Every
-command writes its standard output to ``<name>/stdout.txt`` and its exit
-code to ``<name>/exit.txt``; commands run inside the output directory
-with relative ``--out`` paths, so nothing machine-specific lands in
-them.  The lines are in ``sha256sum`` format, so two source trees are
-compared by diffing the script's output on each (see the README).
+in both modes, a power jump across the window at mu's root, the I_th and
+epsilon sweeps, four SINR tables, ``validate`` and ``selftest``), each in
+a fresh single-threaded process, and prints one ``sha256  path`` line per
+written file, sorted by path.  Every command writes its standard output to
+``<name>/stdout.txt`` and its exit code to ``<name>/exit.txt``; commands
+run inside the output directory with relative ``--out`` paths, so nothing
+machine-specific lands in them.  The lines are in ``sha256sum`` format, so
+two source trees are compared by diffing the script's output on each (see
+the README).
 
 Usage:
     python3 scripts/artifact_digest.py OUT_DIR [--src SRC_DIR]
@@ -59,6 +60,11 @@ MATRIX = [
                       "--set", "total_power_w=0", "--out", "{out}"]),
     ("run-imp-zero", ["run", "--preset", "imperfect",
                       "--set", "total_power_w=0", "--out", "{out}"]),
+    # one state's winner switch carries the power across the window: the
+    # search keeps the feasible end of the jump
+    ("run-jump", ["run", "--preset", "deterministic", "--set", "num_subcarriers=2",
+                  "--set", "num_users=2", "--set", "interference_limit_w=2.762",
+                  "--seed", "112", "--states", "30", "--out", "{out}"]),
     ("sweep-ith", ["sweep", "--preset", "deterministic", "--axis", "ith",
                    "--values", "1,2,5,10,20", "--states", "100",
                    "--threads", "1", "--out", "{out}"]),

@@ -14,8 +14,9 @@ Subcommands:
   optionally with a Monte Carlo cdf column.
 * ``selftest``   run the quick internal consistency battery.
 
-Exit codes: 0 success, 2 configuration or usage problems, 3 the dual
-loop ran out of iterations, 4 an interference budget cannot be met.
+Exit codes: 0 success, 2 configuration or usage problems, 3 the power
+multiplier search or a special-function series did not converge, 4 an
+interference budget cannot be met.
 Failures print one line ``ERROR <code>: <message>`` to stderr.  Output
 files carry no timestamps, so reruns with the same inputs are
 byte-identical.
@@ -91,9 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", type=int, default=2000,
                    help="number of fading states (default 2000)")
     p.add_argument("--iterations", type=int, default=500,
-                   help="dual iteration cap (default 500)")
+                   help="subgradient iterations under --all-iterations (default 500)")
     p.add_argument("--all-iterations", action="store_true",
-                   help="run the full iteration cap even after convergence")
+                   help="run --iterations projected subgradient steps from the "
+                   "settled power multiplier (a convergence study)")
     p.add_argument("--audit-states", type=int, default=32,
                    help="states resampled for the collision audit")
     p.add_argument("--audit-samples", type=int, default=20000,

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Plain ValueError is used for scalar domain violations (negative SINR,
-constellation below 2, and so on); the classes below mark conditions the
-CLI maps to distinct exit codes or that carry solver state.
+constellation below 2, and so on); the classes below mark conditions
+callers tell apart, several of which the CLI maps to distinct exit codes.
 """
 
 
@@ -21,14 +21,9 @@ class ShapeError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iteration stopped before it converged.
 
-    Raised when the dual iteration misses its power-gap tolerance, carrying
-    the partially solved state so callers can inspect the trace, and when a
-    special function runs past its step cap (``result`` is None).
+    Raised when the power-multiplier search cannot bracket or settle its
+    root, and when a special function runs past its step cap.
     """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class InfeasibleError(RuntimeError):

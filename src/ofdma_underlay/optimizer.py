@@ -25,10 +25,10 @@ sweeping the primaries cyclically until every budget holds, each by a
 bracketed root search (:func:`_find_root`), warm-started from the last
 multipliers, until the realized budget use is tight to 1e-6 relative (or
 zero if slack); a state keeps the allocation of the trials that set its
-multipliers, and the first outer iteration takes the warm start's solved
-states, so no allocation is evaluated twice.  ``mu`` follows a projected
-subgradient with step 1 / (P_t (10 + t)), stopping when the average-power
-gap is within 1e-3 P_t or the multiplier sits at zero with slack power.
+multipliers, and the solve returns the states the ``mu`` search solved,
+so no allocation is evaluated twice.  A projected subgradient on ``mu``
+with step 1 / (P_t (10 + t)) runs only when a fixed iteration count is
+forced, as a reference path for convergence studies.
 
 With the winners of an eta trial fixed, a state's interference at primary
 j is G(e) = sum_k w_k [1 / (ln2 (b_k + e w_k / f_k)) - pcut_k]+, where b_k
@@ -49,9 +49,12 @@ its budgets puts at most budget / (least weight) into the band, so when
 those bounds average to P_t or less, P(0) <= P_t and mu = 0 without a
 trial.  Otherwise mu = 0 is probed only once two trials with states to
 tighten have both kept the power within P_t; at binding points the second
-trial usually lands above P_t, which shows P(0) > P_t.  The 1/t steps
-then hold the iterate; from a badly scaled start they would need
-thousands of iterations, past the cap, to close a watt-sized gap.
+trial usually lands above P_t, which shows P(0) > P_t.  The search
+settles mu: the power ends within 5e-4 P_t of P_t, or mu = 0, or the
+bracket is 1e-12 wide at a jump, where a winner switch carries the power
+across the whole window.  There the feasible end is kept; only a
+fractional time-share of the switching state between its two
+allocations does better (the time-sharing argument of Yu & Lui 2006).
 
 In deterministic mode the interference weights are the squared cross
 links the transmitter knows (true under perfect CSI, estimates
@@ -98,7 +101,7 @@ _NEWTON_STEPS = 3       # Newton steps from an eta trial to its model's root
 _MU_SLOPE_BINDING = -0.5    # prior log-log slope of power against mu once states bind,
 _MU_SLOPE_FREE = -1.5       # and before them (faster than 1 / mu)
 _TIGHT_REL = 1e-6
-_POWER_GAP_REL = 1e-3   # the outer loop stops at |avg power - P_t| <= this * P_t
+_POWER_GAP_REL = 1e-3   # mu is settled at |avg power - P_t| <= this * P_t
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +562,9 @@ def _warm_start_mu(ws: _Workspace, tol_w: float):
     mu0: the probe, or the latest trial within P_t + tol_w, which is the
     least such mu tried once the power is in the window or the bracket is
     1e-12 wide.  ConvergenceError names the bracket when the power is still
-    above the window at K / (P_t ln2) 2^(_ETA_DOUBLINGS - 1).
+    above the window at K / (P_t ln2) 2^(_ETA_DOUBLINGS - 1), and names the
+    window and the final bracket [lo, hi] when all _ETA_DOUBLINGS +
+    _BISECT_STEPS trials pass with none of these ends.
     """
     p_t = ws.cfg.total_power_w
     eta = np.zeros((ws.count, ws.cfg.num_primaries))
@@ -614,6 +619,10 @@ def _warm_start_mu(ws: _Workspace, tol_w: float):
             step = 2.0 * lo
         mu, up, vp = float(min(step, top)), u, v
         solved = None           # hold only ``kept`` through the next trial
+    else:
+        raise ConvergenceError(
+            "power multiplier unsettled after %d trials: average power %.6g W not within "
+            "%.3g W of %.6g W; final bracket [%.6g, %.6g]" % (trial, power, tol_w, p_t, lo, hi))
     return hi, kept
 
 
@@ -643,11 +652,11 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
 
     ``realizations`` may be a BatchRealizations; alternatively pass
     ``num_states`` to draw streams 0..num_states-1 of the scenario seed.
-    The outer loop stops once |avg power - P_t| <= 1e-3 P_t or
-    the power constraint is slack at mu = 0; ``run_all_iterations`` forces
-    the full iteration count (for convergence studies).  A loop that ends
-    without meeting either condition raises ConvergenceError carrying the
-    partial result.
+    :func:`_warm_start_mu` settles mu, and its states are the solution:
+    one iteration, ``converged`` true.  ``run_all_iterations`` runs
+    ``max_iterations`` projected subgradient iterations from there (for
+    convergence studies); ``converged`` then says whether the last one has
+    |avg power - P_t| <= 1e-3 P_t, or slack power at mu = 0.
     """
     if cfg.total_power_w <= 0.0:
         raise ValueError("solve_dual needs total_power_w > 0; a zero budget "
@@ -667,8 +676,9 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
     warm_evaluated, warm_calls = ws.evaluated, ws.calls
     trace = {"iter": [], "mu": [], "primal_ase": [], "dual_value": [],
              "power_gap": []}
-    for t in range(1, max_iterations + 1):
-        if t > 1:
+    for t in range(1, (max_iterations if run_all_iterations else 1) + 1):
+        if t > 1:       # the projected subgradient step on iteration t - 1's gap
+            mu = max(mu + gap / (p_t * (10.0 + (t - 1))), 0.0)
             solved = _solve_states(ws, mu, solved[4])
         winner, p_sel, x_sel, interf, eta = solved
         avg_power = float(np.mean(np.sum(p_sel, axis=1)))
@@ -680,15 +690,11 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
         trace["primal_ase"].append(primal)
         trace["dual_value"].append(dual)
         trace["power_gap"].append(gap)
-
-        stop = abs(gap) <= tol_w or (mu == 0.0 and gap <= 0.0)
-        if stop and not run_all_iterations:
-            break
-        mu = max(mu + gap / (p_t * (10.0 + t)), 0.0)
-    converged = stop
+    # the warm start settles mu; forced iterations are judged by the last one
+    converged = not run_all_iterations or abs(gap) <= tol_w or (mu == 0.0 and gap <= 0.0)
 
     dual_state = DualState(
-        mu=trace["mu"][-1], eta=eta, iterations=t, converged=converged,
+        mu=mu, eta=eta, iterations=t, converged=converged,
         trace={key: np.asarray(val) for key, val in trace.items()},
         warm_start_passes=warm_evaluated / s,
         iteration_passes=(ws.evaluated - warm_evaluated) / s,
@@ -702,17 +708,10 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
         state_rates = np.sum(np.log1p(x_sel), axis=1) / LN2
     policies = PolicyBatch(num_users=cfg.num_users, user=winner, power=p_sel,
                            x=x_sel, bits=bits)
-    result = SolveResult(
+    return SolveResult(
         cfg=cfg, policies=policies, dual=dual_state, state_rates=state_rates,
         ase=float(np.mean(state_rates)),
         ase_stderr=float(np.std(state_rates, ddof=1) / math.sqrt(s)) if s > 1 else 0.0,
         avg_power_w=avg_power,
         enforced_interference=interf, budgets_w=ws.budgets,
         reference_power_w=ws.p_ref, streams=ws.streams)
-
-    if not converged and not run_all_iterations:
-        raise ConvergenceError(
-            "power gap %.3g W after %d iterations exceeds tolerance %.3g W"
-            % (trace["power_gap"][-1], t, tol_w),
-            result=result)
-    return result

@@ -282,7 +282,7 @@ def test_selftest_passes(capsys):
 
 def test_exit_code_three_on_convergence_error(config_file, monkeypatch, capsys):
     def explode(*args, **kwargs):
-        raise ConvergenceError("dual loop ran out of iterations")
+        raise ConvergenceError("power multiplier unsettled after 150 trials")
     monkeypatch.setattr(cli, "run_experiment", explode)
     rc = main(["run", "--config", config_file, "--states", "20"])
     assert rc == 3

@@ -377,17 +377,17 @@ def test_probabilistic_budget_is_collision_surrogate():
     assert result.ase > 0.0
 
 
-def test_nonconvergence_attaches_partial_result(monkeypatch):
+def test_forced_iterations_take_the_subgradient_steps(monkeypatch):
+    # from a badly scaled mu the 1 / (P_t (10 + t)) steps do not close the
+    # gap in four iterations: the last iterate is not converged
     cfg = _cfg(num_subcarriers=4, total_power_w=2.0, rng_seed=3,
                interference_limit_w="1e9")
     monkeypatch.setattr(
         optimizer_module, "_warm_start_mu",
         lambda ws, tol: (50.0, optimizer_module._solve_states(
             ws, 50.0, np.zeros((ws.count, ws.cfg.num_primaries)))))
-    with pytest.raises(ConvergenceError) as excinfo:
-        solve_dual(cfg, num_states=6, max_iterations=4)
-    result = excinfo.value.result
-    assert result is not None and not result.dual.converged
+    result = solve_dual(cfg, num_states=6, max_iterations=4, run_all_iterations=True)
+    assert not result.dual.converged
     trace = result.dual.trace
     assert len(trace["mu"]) == 4
     assert np.all(np.diff(trace["mu"]) < 0.0)
@@ -785,6 +785,30 @@ def test_mu_search_error_names_the_bracket(monkeypatch):
                        r"average power: 5 > 1 after 60 trials; "
                        r"final bracket \[8\.31657e\+17, inf\)$"):
         _power_search(monkeypatch, lambda mu: 5.0)
+
+
+def test_mu_search_error_names_the_window_and_bracket(monkeypatch):
+    # trials that run out inside a jump's bracket leave mu unsettled
+    monkeypatch.setattr(optimizer_module, "_ETA_DOUBLINGS", 4)
+    monkeypatch.setattr(optimizer_module, "_BISECT_STEPS", 2)
+    jump = 3.7 / LN2
+    with pytest.raises(ConvergenceError, match=r"power multiplier unsettled after 6 trials: "
+                       r"average power 2 W not within 5e-07 W of 1 W; "
+                       r"final bracket \[5\.29183, 5\.77078\]$"):
+        _power_search(monkeypatch, lambda mu: 2.0 if mu < jump else 0.5)
+
+
+def test_solve_keeps_the_feasible_end_of_a_power_jump():
+    # one state's two subcarriers both switch winner at mu = 0.0255231, and
+    # the average power jumps from 30.1055 W to 29.9535 W, across the whole
+    # window: the solve keeps the feasible end
+    cfg = deterministic_benchmark(num_subcarriers=2, num_users=2,
+                                  interference_limit_w=(2.762,), rng_seed=112)
+    result = solve_dual(cfg, num_states=30)
+    assert result.avg_power_w <= cfg.total_power_w
+    assert result.dual.converged
+    assert result.dual.iterations == 1 and result.dual.iteration_calls == 0
+    assert result.dual.mu == pytest.approx(0.0255231, rel=1e-6)
 
 
 def _jump(xstar, trials):
