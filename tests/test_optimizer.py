@@ -377,9 +377,10 @@ def test_probabilistic_budget_is_collision_surrogate():
     assert result.ase > 0.0
 
 
-def test_forced_iterations_take_the_subgradient_steps(monkeypatch):
+def test_nonconvergence_attaches_partial_result(monkeypatch):
     # from a badly scaled mu the 1 / (P_t (10 + t)) steps do not close the
-    # gap in four iterations: the last iterate is not converged
+    # gap in four forced iterations: the result holds the last, unconverged
+    # iterate and its trace
     cfg = _cfg(num_subcarriers=4, total_power_w=2.0, rng_seed=3,
                interference_limit_w="1e9")
     monkeypatch.setattr(
