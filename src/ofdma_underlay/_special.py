@@ -4,7 +4,8 @@
 Chebyshev approximations for the error function", Math. Comp. 23 (1969),
 with his three ranges: y <= 0.46875 (1 - erf through a rational in y^2),
 0.46875 < y <= 4 (a rational in y) and y > 4 (an asymptotic rational in
-1/y^2), each evaluated only on its own elements; erfcx(inf) = 0.
+1/y^2), each evaluated only on its own elements (an array whose min and
+max fall in one range skips the masks); erfcx(inf) = 0.
 ``erfc`` multiplies by exp(-y^2) split as exp(-t^2) exp(-(y - t)(y + t)),
 t = y rounded down to a multiple of 1/16, so the square loses no bits.
 
@@ -94,15 +95,20 @@ def _erfcx_large(y):
 def erfcx(y):
     """Scaled complementary error function exp(y^2) erfc(y) for y >= 0."""
     y = np.asarray(y, dtype=float)
-    small, large = y <= _SMALL, y > _MEDIUM
-    out = np.empty(y.shape)
-    for part, kernel in ((small, _erfcx_small), (~(small | large), _erfcx_medium),
-                         (large, _erfcx_large)):
-        if part.all():
-            out = kernel(y)
-            break
-        if part.any():
-            out[part] = kernel(y[part])
+    lo, hi = (np.min(y), np.max(y)) if y.size else (0.0, 0.0)
+    if hi <= _SMALL:            # every argument in one range (a NaN takes the masks)
+        out = _erfcx_small(y)
+    elif _SMALL < lo and hi <= _MEDIUM:
+        out = _erfcx_medium(y)
+    elif lo > _MEDIUM:
+        out = _erfcx_large(y)
+    else:
+        small, large = y <= _SMALL, y > _MEDIUM
+        out = np.empty(y.shape)
+        for part, kernel in ((small, _erfcx_small), (~(small | large), _erfcx_medium),
+                             (large, _erfcx_large)):
+            if part.any():
+                out[part] = kernel(y[part])
     return out if out.ndim else float(out)
 
 

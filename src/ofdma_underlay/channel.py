@@ -34,6 +34,9 @@ __all__ = [
 class BatchRealizations:
     """Fading states stacked along the first axis; row s is one state.
 
+    ``sample_realizations`` returns read-only arrays; under perfect CSI
+    ``cross_true`` and ``cross_est`` are one array.
+
     direct_power : (S, N, K) exponential power gains of the secondary links
     cross_true   : (S, M, K) true cross-link coefficients
     cross_est    : (S, M, K) estimates available at the transmitter
@@ -73,7 +76,8 @@ def sample_realizations(cfg: ScenarioConfig, streams) -> BatchRealizations:
     estimate's real and imaginary parts, and v, which mixes with u into the
     error so that corr(Re Hhat, Re dH) = rho.  Under perfect CSI the error
     is sqrt(error_var) = 0 times the mix, so a stream stops after u and
-    ``cross_true`` copies the estimate.  The scaling runs once per batch.
+    ``cross_true`` is the estimate array itself.  The scaling runs once per
+    batch, and the returned arrays are read-only.
     """
     streams = np.asarray(list(streams), dtype=np.int64)
     n, m, k = cfg.num_users, cfg.num_primaries, cfg.num_subcarriers
@@ -92,7 +96,7 @@ def sample_realizations(cfg: ScenarioConfig, streams) -> BatchRealizations:
     np.add(u[:, 0], np.multiply(1j, u[:, 1], out=est), out=est)
     np.add(cfg.cross_mean, np.multiply(cfg.estimate_std, est, out=est), out=est)
     if perfect:
-        return BatchRealizations(direct, est.copy(), est, streams)
+        return _read_only(direct, est, est, streams)
     mix = normals[:, 1]
     rho = cfg.correlation
     mix *= math.sqrt(1.0 - rho * rho)           # mix = rho u + sqrt(1 - rho^2) v
@@ -101,7 +105,13 @@ def sample_realizations(cfg: ScenarioConfig, streams) -> BatchRealizations:
     true = np.empty_like(est)
     np.add(mix[:, 0], np.multiply(1j, mix[:, 1], out=true), out=true)
     np.add(est, np.multiply(math.sqrt(cfg.error_var), true, out=true), out=true)
-    return BatchRealizations(direct, true, est, streams)
+    return _read_only(direct, true, est, streams)
+
+
+def _read_only(*arrays) -> BatchRealizations:
+    for array in arrays:
+        array.setflags(write=False)
+    return BatchRealizations(*arrays)
 
 
 def posterior_stats(cfg: ScenarioConfig, cross_est: np.ndarray) -> PosteriorCrossStats:

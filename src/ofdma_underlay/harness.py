@@ -23,6 +23,7 @@ config and seed: stable float formatting, sorted keys, no timestamps.
 from __future__ import annotations
 
 import contextvars
+import functools
 import json
 import logging
 import time
@@ -83,9 +84,12 @@ def format_float(value) -> str:
 
 @dataclass
 class EvaluationReport:
-    """Summary of one experiment; arrays live on ``result``, not in JSON."""
+    """Summary of one experiment; arrays live on ``result``, not in JSON.
 
-    fingerprint: str
+    ``fingerprint`` hashes ``result.cfg`` on first read: only the JSON
+    artifacts and the CLI summary show it.
+    """
+
     csi_mode: str
     constraint_mode: str
     rate_mode: str
@@ -113,17 +117,22 @@ class EvaluationReport:
     result: SolveResult | None = field(default=None, repr=False)
     collision_analytic: np.ndarray | None = field(default=None, repr=False)
 
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        return self.result.cfg.fingerprint()
+
     def to_mapping(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("result", "collision_analytic")}
+        return {"fingerprint": self.fingerprint,
+                **{f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in ("result", "collision_analytic")}}
 
 
 def _zero_power_report(cfg: ScenarioConfig, num_states: int) -> EvaluationReport:
     m = cfg.num_primaries
     zeros = [0.0] * m
     budgets = [float(b) for b in enforced_budgets(cfg)]
-    return EvaluationReport(
-        fingerprint=cfg.fingerprint(), csi_mode=cfg.csi_mode,
+    report = EvaluationReport(
+        csi_mode=cfg.csi_mode,
         constraint_mode=cfg.constraint_mode, rate_mode=cfg.rate_mode,
         num_states=num_states, total_power_w=0.0,
         interference_limit_w=list(cfg.interference_limit_w),
@@ -135,6 +144,8 @@ def _zero_power_report(cfg: ScenarioConfig, num_states: int) -> EvaluationReport
         collision_analytic_max=(zeros if cfg.constraint_mode == "probabilistic"
                                 else None),
         collision_mc_max=None, collision_mc_stderr=None, audited_states=0)
+    report.fingerprint = cfg.fingerprint()      # no solve holds the config here
+    return report
 
 
 def _collision_analytic(cfg: ScenarioConfig, batch, power_sel: np.ndarray):
@@ -273,7 +284,7 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
             picks = order[:min(audit_states, num_states)]
 
     report = EvaluationReport(
-        fingerprint=cfg.fingerprint(), csi_mode=cfg.csi_mode,
+        csi_mode=cfg.csi_mode,
         constraint_mode=cfg.constraint_mode, rate_mode=cfg.rate_mode,
         num_states=num_states, total_power_w=cfg.total_power_w,
         interference_limit_w=list(cfg.interference_limit_w),

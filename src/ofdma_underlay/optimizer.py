@@ -234,7 +234,14 @@ class SolveResult:
 
 
 class _Workspace:
-    """Per-solve precomputed arrays shared by every dual iteration."""
+    """Per-solve precomputed arrays shared by every dual iteration.
+
+    ``links`` stacks (inv_density, density, pcut, weights) per state, an
+    (S, 3N + M, K) array.  The build writes into it directly: gamma into
+    the pcut rows, then the SINR pdf of each binding primary's states in
+    blocks of max(1, 2^15 // (N K)) rows into the density rows, so its
+    peak is the stack plus one block's pdf temporaries.
+    """
 
     __slots__ = ("cfg", "count", "links", "density", "inv_density", "pcut", "pcut_min",
                  "log_pcut", "weights", "budgets", "p_ref", "streams", "evaluated", "calls")
@@ -268,30 +275,31 @@ class _Workspace:
         binding = np.argmin(caps, axis=1)
         self.p_ref = np.minimum(cfg.total_power_w / k, cap_int)    # (S,)
 
+        # the four per-link arrays side by side, so a trial on some rows
+        # gathers them at once; the build streams into them in row blocks
+        # of about 2^15 links, so no (S, N, K) temporary outlives a block
+        self.links = np.empty((s, 3 * n + m, k))
+        self.inv_density, self.density, self.pcut, self.weights = self.split(self.links)
+        self.weights[...] = weights
         noise = cfg.total_noise_w
-        gamma = batch.direct_power * (self.p_ref / noise)[:, None, None]
-
-        density = np.empty((s, n, k))
+        gamma = np.multiply(batch.direct_power, (self.p_ref / noise)[:, None, None],
+                            out=self.pcut)
+        block = max(1, 2 ** 15 // (n * k))
         for j in range(m):
-            mask = binding == j
-            if not np.any(mask):
+            rows = np.flatnonzero(binding == j)
+            if not rows.size:
                 continue
             dist = SinrDistribution(
                 direct_mean=cfg.direct_gain_means, agg_mean=agg_mean,
                 agg_var=agg_var, budget_w=float(budgets[j]),
                 total_power_w=cfg.total_power_w, noise_w=noise,
                 num_subcarriers=k)
-            density[mask] = dist.pdf(gamma[mask])
-        # the four per-link arrays side by side, so a trial on some rows
-        # gathers them at once; made after the pdf, whose temporaries set
-        # the peak memory of the workspace
-        self.links = np.empty((s, 3 * n + m, k))
-        self.inv_density, self.density, self.pcut, self.weights = self.split(self.links)
-        self.density[...] = density
-        self.weights[...] = weights
+            for start in range(0, rows.size, block):
+                at = rows[start:start + block]
+                self.density[at] = dist.pdf(gamma[at])
         with np.errstate(divide="ignore"):
-            np.divide(1.0, density, out=self.inv_density)
-            np.copyto(self.inv_density, 1e300, where=~(density > 1e-300))
+            np.divide(1.0, self.density, out=self.inv_density)
+            np.copyto(self.inv_density, 1e300, where=~(self.density > 1e-300))
             np.multiply(ber_slope(cfg.ber_target), gamma, out=self.pcut)
             np.divide(self.p_ref[:, None, None], self.pcut, out=self.pcut)
         self.pcut_min = np.min(self.pcut, axis=1)                  # (S, K)
@@ -331,35 +339,43 @@ def _allocate(mu, eta, inv_density, density, pcut, weights, log_pcut=None):
     ln(ln2 mu), from ``log_pcut`` if given.  Winners are ``np.argmax`` over
     users: ties go to the lowest index (user 0 where no link is loaded),
     and at mu = 0 a zero price at a finite cutoff (x = inf, the metric NaN
-    even where f = 0) is the maximum.
+    even where f = 0) is the maximum.  At eta = 0 and mu = 0 every price is
+    0, so no per-link metric is built: each subcarrier's first user with a
+    finite cutoff wins, at power inf - pcut.
     """
     s, n, k = pcut.shape
-    slack = mu > 0.0 and not eta.any()      # every price is mu: one level for all links
+    slack = not eta.any()                   # every price is mu: one level for all links
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if slack:
-            scale = np.float64(mu) * LN2
-            metric = np.multiply(pcut, scale)                      # t, (S, N, K)
-            metric += np.log(pcut) if log_pcut is None else log_pcut
-            np.subtract(1.0 - np.log(scale), metric, out=metric)
+        if slack and mu == 0.0:             # x = inf at every finite cutoff
+            winner = np.argmax(pcut < np.inf, axis=1)     # the first, else user 0
         else:
-            priced = np.einsum("sm,smk->sk", eta, weights)         # (S, K)
-            t = np.multiply(priced[:, None, :], inv_density)       # (S, N, K)
-            t += mu                                                # the price
-            t *= LN2
-            t *= pcut
-            metric = np.log(t)
-            metric += t
-            np.subtract(1.0, metric, out=metric)
-        metric *= density
-        np.fmax(metric, 0.0, out=metric)    # t >= 1 is unloaded; a NaN t has pcut = inf
-        if mu == 0.0:                       # a zero price: x = inf, the maximum at any f
-            metric[t == 0.0] = np.inf
-        hit = metric == np.max(metric, axis=1, keepdims=True)
-        rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
-        winner = n - np.max(hit * rank, axis=1).astype(int)    # the first hit ranks highest
+            if slack:
+                scale = np.float64(mu) * LN2
+                metric = np.multiply(pcut, scale)                  # t, (S, N, K)
+                metric += np.log(pcut) if log_pcut is None else log_pcut
+                np.subtract(1.0 - np.log(scale), metric, out=metric)
+            else:
+                priced = np.einsum("sm,smk->sk", eta, weights)     # (S, K)
+                t = np.multiply(priced[:, None, :], inv_density)   # (S, N, K)
+                t += mu                                            # the price
+                t *= LN2
+                t *= pcut
+                metric = np.log(t)
+                metric += t
+                np.subtract(1.0, metric, out=metric)
+            metric *= density
+            np.fmax(metric, 0.0, out=metric)    # t >= 1 is unloaded; a NaN t has pcut = inf
+            if mu == 0.0:                       # a zero price: x = inf, the maximum at any f
+                metric[t == 0.0] = np.inf
+            hit = metric == np.max(metric, axis=1, keepdims=True)
+            rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+            winner = n - np.max(hit * rank, axis=1).astype(int)    # the first hit ranks highest
         at = np.arange(s)[:, None], winner, np.arange(k)          # the winners' links
         pcut_sel = pcut[at]
-        level = 1.0 / scale if slack else 1.0 / ((priced * inv_density[at] + mu) * LN2)
+        if slack:
+            level = 1.0 / (np.float64(mu) * LN2)                   # inf at mu = 0
+        else:
+            level = 1.0 / ((priced * inv_density[at] + mu) * LN2)
         p_sel = np.maximum(level - pcut_sel, 0.0)
         x_sel = np.fmax(p_sel / pcut_sel, 0.0)      # NaN (power NaN, or 0 / 0) gives 0
         interference = np.einsum("sk,smk->sm", p_sel, weights)

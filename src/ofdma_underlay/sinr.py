@@ -161,38 +161,56 @@ class SinrDistribution:
         return (hi - lo) / self._trunc_norm
 
     def _branches(self, gamma):
-        """exp(-a G), the boundary factor exp(g0 - h^2/2) and exp(g0) Q(h)."""
-        a, b = self._a, self._b
+        """exp(-a G), the boundary factor exp(g0 - h^2/2), exp(g0) Q(h) and b G var_N.
+
+        Each result is built in place and each temporary dropped once spent,
+        so few arrays of gamma's size are alive at once.
+        """
         mu, var = self.agg_mean, self.agg_var
         std = self._agg_std
         c = self._cap_switch
-        ag, bg = a * gamma, b * gamma
-        h = (c - mu + bg * var) / std
+        bg_var = self._b * gamma
+        bg_var *= var
+        h = c - mu + bg_var
+        h /= std
         # exp(g0 - h^2/2) collapses to a bounded expression:
-        e_boundary = np.exp(-0.5 * ((c - mu) / std) ** 2 - ag)
-        z = np.abs(h) / _SQRT2
+        e_boundary = np.exp(-0.5 * ((c - mu) / std) ** 2 - self._a * gamma)
+        if not h.size or np.min(h) >= 0.0:     # no h < 0 (a NaN takes the masks)
+            h /= _SQRT2
+            eg_q = _special.erfcx(h)
+            eg_q *= 0.5 * e_boundary
+            return np.exp(-(self._a * gamma)), e_boundary, eg_q, bg_var
         neg = h < 0.0
-        if not np.any(neg):
-            ex = _special.erfcx(z)
-            return np.exp(-ag), e_boundary, 0.5 * e_boundary * ex
-        # bg * var < mu - c where h < 0, so g0 is finite there
-        bg = np.where(neg, bg, 0.0)
-        g0 = -bg * mu + 0.5 * (bg * std) ** 2
-        # Q(h) = 1 - erfc(z) / 2 with erfc(z) = exp(-z^2) erfcx(z); from z = 6
-        # on, exp(-z^2) erfcx(z) / 2 < 2^-54 and Q(h) rounds to exactly 1
-        q = np.ones_like(z)
+        z = np.abs(h)
+        z /= _SQRT2
+        del h
+        # bg * var < mu - c where h < 0, so g0 = -bg mu + (bg std)^2 / 2 is
+        # finite there; eg_q is an array even for a scalar gamma
+        eg_q = np.where(neg, self._b * gamma, 0.0)
+        half_sq = eg_q * std
+        half_sq *= half_sq
+        half_sq *= 0.5
+        eg_q *= -mu
+        eg_q += half_sq
+        del half_sq
+        np.exp(np.minimum(eg_q, 0.0, out=eg_q), out=eg_q)
+        # times Q(h) = 1 - erfc(z) / 2, erfc(z) = exp(-z^2) erfcx(z); from
+        # z = 6 on, exp(-z^2) erfcx(z) / 2 < 2^-54 and Q(h) rounds to exactly 1
         near = neg & (z < _Q_IS_ONE)
         zn = z[near]
-        q[near] = 1.0 - 0.5 * np.exp(-zn * zn) * _special.erfcx(zn)
-        eg_q = np.multiply(np.exp(np.minimum(g0, 0.0)), q, out=q)
+        q = _special.erfcx(zn)
+        q *= 0.5 * np.exp(-zn * zn)
+        eg_q[near] *= np.subtract(1.0, q, out=q)
         pos = ~neg
-        eg_q[pos] = 0.5 * e_boundary[pos] * _special.erfcx(z[pos])
-        return np.exp(-ag), e_boundary, eg_q
+        ex = _special.erfcx(z[pos])
+        ex *= 0.5 * e_boundary[pos]
+        eg_q[pos] = ex
+        return np.exp(-(self._a * gamma)), e_boundary, eg_q, bg_var
 
     @staticmethod
     def _thresholds(gamma):
         gamma = np.asarray(gamma, dtype=float)
-        if np.any(gamma < 0.0):
+        if gamma.size and np.min(gamma) < 0.0:
             raise ValueError("SINR values must be >= 0")
         return gamma
 
@@ -204,7 +222,7 @@ class SinrDistribution:
         if self._degenerate:
             out = np.exp(-self._point_rate * gamma)
         else:
-            e_a, _, eg_q = self._branches(gamma)
+            e_a, _, eg_q, _ = self._branches(gamma)
             out = e_a * self._below_switch() + eg_q / self._trunc_norm
         return out if out.ndim else float(out)
 
@@ -220,15 +238,23 @@ class SinrDistribution:
             dens = scale * np.exp(-scale * gamma)
             return dens if dens.ndim else float(dens)
 
-        a, b = self._a, self._b
-        e_a, e_boundary, eg_q = self._branches(gamma)
-        # derivatives of the power-capped and interference-capped branches
-        term1 = a * e_a * self._below_switch()
-        term2 = b * self._agg_std * e_boundary / _SQRT2PI
+        b = self._b
+        # derivatives of the power-capped (term1) and interference-capped
+        # (term2, term3) branches, built in place on _branches' arrays;
+        # term3 starts as b G var_N
+        term1, term2, eg_q, term3 = self._branches(gamma)
+        term1 *= self._a
+        term1 *= self._below_switch()
+        term2 *= b * self._agg_std
+        term2 /= _SQRT2PI
+        term3 = self.agg_mean - term3
+        term3 *= b
         with np.errstate(invalid="ignore"):     # inf * 0 at gamma = inf
-            term3 = b * (self.agg_mean - b * gamma * self.agg_var) * eg_q
-
-        dens = term1 + (term2 + term3) / self._trunc_norm
+            term3 *= eg_q
+        term2 += term3
+        term2 /= self._trunc_norm
+        dens = term1
+        dens += term2
         low = float(np.min(dens)) if dens.size else 0.0
         if low < -1e-9:
             raise ValueError("pdf assembled a negative density %g; "

@@ -107,6 +107,11 @@ def test_perfect_mode_exposes_true_channel_as_estimate():
     np.testing.assert_array_equal(batch.cross_est, batch.cross_true)
     np.testing.assert_array_equal(batch.cross_true - batch.cross_est,
                                   np.zeros_like(batch.cross_true))
+    # one array serves as both, and no caller can write through either name
+    assert np.shares_memory(batch.cross_true, batch.cross_est)
+    for array in (batch.direct_power, batch.cross_true, batch.streams):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 
 def test_posterior_stats_formulas():
@@ -158,4 +163,7 @@ def test_batch_equals_independent_per_state_draws(cfg):
         for got, want in zip((batch.direct_power, batch.cross_true, batch.cross_est),
                              _draw_one(cfg, stream)):
             assert got[row].tobytes() == want.tobytes()
-    assert batch.cross_est is not batch.cross_true
+    # perfect CSI shares one read-only array; an imperfect batch keeps two
+    assert (batch.cross_est is batch.cross_true) == (cfg.csi_mode == "perfect")
+    assert not any(a.flags.writeable for a in (batch.direct_power, batch.cross_true,
+                                               batch.cross_est, batch.streams))

@@ -3,6 +3,7 @@
 import gc
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,7 @@ from ofdma_underlay.optimizer import (
     waterfill_power,
 )
 from ofdma_underlay.presets import deterministic_benchmark, imperfect_benchmark
-from ofdma_underlay.sinr import sinr_distribution
+from ofdma_underlay.sinr import SinrDistribution, gaussian_sum_params, sinr_distribution
 
 
 def _cfg(**overrides):
@@ -1113,3 +1114,74 @@ def test_call_counters_over_the_ith_sweep(monkeypatch):
         assert dual.warm_start_calls == warm[-1] > 0
         assert dual.iteration_calls == len(calls) - warm[-1]
         assert dual.iteration_calls == dual.iteration_passes == more
+
+
+def test_workspace_density_equals_the_whole_pdf():
+    # the pdf runs on blocks of 2^15 // (N K) = 16 rows of each binding
+    # primary's states; the stack must hold the whole-array results
+    cfg = _wide_m2(rng_seed=4)
+    batch = sample_realizations(cfg, range(150))
+    ws = optimizer_module._Workspace(cfg, batch)
+    block = 2 ** 15 // (cfg.num_users * cfg.num_subcarriers)
+    weights = batch.cross_true.real ** 2 + batch.cross_true.imag ** 2
+    binding = np.argmin(ws.budgets / np.sum(weights, axis=2), axis=1)
+    gamma = batch.direct_power * (ws.p_ref / cfg.total_noise_w)[:, None, None]
+    agg_mean, agg_var = gaussian_sum_params(cfg.cross_mean, cfg.cross_var,
+                                            cfg.num_subcarriers)
+    for j in range(cfg.num_primaries):
+        rows = binding == j
+        assert np.sum(rows) > 3 * block
+        dist = SinrDistribution(
+            direct_mean=cfg.direct_gain_means, agg_mean=agg_mean, agg_var=agg_var,
+            budget_w=float(ws.budgets[j]), total_power_w=cfg.total_power_w,
+            noise_w=cfg.total_noise_w, num_subcarriers=cfg.num_subcarriers)
+        assert ws.density[rows].tobytes() == dist.pdf(gamma[rows]).tobytes()
+    density = ws.density.copy()
+    with np.errstate(divide="ignore"):
+        inv_density = np.where(density > 1e-300, 1.0 / density, 1e300)
+    assert ws.inv_density.tobytes() == np.ascontiguousarray(inv_density).tobytes()
+    pcut = ws.p_ref[:, None, None] / (ber_slope(cfg.ber_target) * gamma)
+    assert np.ascontiguousarray(ws.pcut).tobytes() == pcut.tobytes()
+    assert np.ascontiguousarray(ws.weights).tobytes() == weights.tobytes()
+
+
+def test_workspace_build_peaks_near_the_links_stack():
+    # the build writes into the (S, 3N + M, K) stack; only one block's pdf
+    # temporaries and a few (S, M, K) arrays come on top
+    cfg = _wide_m2()
+    batch = sample_realizations(cfg, range(200))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ws = optimizer_module._Workspace(cfg, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ws.links.nbytes
+
+
+def test_mu_zero_slack_pass_matches_the_priced_path():
+    # at eta = 0 and mu = 0 the first user with a finite cutoff wins at power
+    # inf - pcut, with no per-link metric; one priced row sends the same
+    # arrays down the priced path, whose other rows must give the same bytes
+    cfg = imperfect_benchmark()
+    states = 200
+    ws = optimizer_module._Workspace(cfg, sample_realizations(cfg, range(states)))
+    arrays = tuple(a.copy() for a in ws.subset())
+    pcut = arrays[2]
+    pcut[0, :, 3] = np.inf          # no finite cutoff: user 0 at NaN power
+    pcut[1, 0, 5] = np.inf          # user 1 has the first finite cutoff
+    eta = np.zeros((states, cfg.num_primaries))
+    priced = eta.copy()
+    priced[-1] = 1.0
+    with np.errstate(invalid="ignore"):
+        got = optimizer_module._allocate(0.0, eta, *arrays)
+        want = optimizer_module._allocate(0.0, priced, *arrays)
+        _assert_same_bytes([a[:-1] for a in got], [a[:-1] for a in want])
+        _assert_same_bytes(got, _reference_pass(0.0, eta, arrays))
+    winner, power, x, interference = got
+    assert winner[0, 3] == 0 and np.isnan(power[0, 3]) and x[0, 3] == 0.0
+    assert np.all(np.isnan(interference[0]))
+    assert winner[1, 5] == 1 and np.isinf(power[1, 5])
+    assert np.all(np.isinf(power[2:])) and np.all(np.isinf(x[2:]))
+    assert np.all(np.isinf(interference[1:]))

@@ -304,5 +304,5 @@ def test_q_factor_past_z_six_is_exactly_one():
     for got, want in zip(dist._branches(gamma), full):
         assert got.tobytes() == want.tobytes()
     for x in (float(gamma[0]), float(gamma[-1])):      # scalar inputs take the same path
-        assert [float(v) for v in dist._branches(np.float64(x))] == \
+        assert [float(v) for v in dist._branches(np.float64(x))[:3]] == \
             [float(v) for v in _full_branches(dist, np.float64(x))[:3]]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from ofdma_underlay import _special
 from ofdma_underlay._special import erfc, erfcx, gammaincc, ndtr
 from ofdma_underlay.errors import ConvergenceError
 
@@ -28,6 +29,32 @@ def test_erfcx_at_range_edges_and_limits():
     assert_close(erfcx(points), special.erfcx(points), 1e-12)
     assert erfcx(np.inf) == 0.0
     assert erfcx(0.0) == 1.0
+
+
+def _masked_erfcx(y):
+    """erfcx with each of Cody's kernels on its own elements only."""
+    small, large = y <= _special._SMALL, y > _special._MEDIUM
+    out = np.empty(y.shape)
+    for part, kernel in ((small, _special._erfcx_small),
+                         (~(small | large), _special._erfcx_medium),
+                         (large, _special._erfcx_large)):
+        out[part] = kernel(y[part])
+    return out
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.46875), (np.nextafter(0.46875, 1.0), 4.0),
+                                    (np.nextafter(4.0, 5.0), 1e8), (0.0, 30.0),
+                                    (0.3, 2.0), (1.0, 9.0)],
+                         ids=["small", "medium", "large", "all", "small-medium",
+                              "medium-large"])
+def test_erfcx_one_range_equals_the_masked_path(lo, hi):
+    # an array inside one of Cody's ranges skips the masks; the bytes stay
+    y = np.concatenate([[lo, hi], np.random.default_rng(3).uniform(lo, hi, 997)])
+    assert erfcx(y).tobytes() == _masked_erfcx(y).tobytes()
+    assert erfcx(y[:1]).tobytes() == _masked_erfcx(y[:1]).tobytes()
+    if hi > 4.0:
+        y[-1] = np.inf
+        assert erfcx(y).tobytes() == _masked_erfcx(y).tobytes()
 
 
 def test_erfcx_on_log_grid():
