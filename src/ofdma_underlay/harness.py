@@ -7,17 +7,18 @@ collision probabilities (a two-moment scaled chi-square fit of the
 weighted sum over the loaded subcarriers everywhere, posterior
 resampling on the states that fit ranks worst) when the constraint is
 probabilistic.  The resampling redraws only the loaded cross links: an
-unloaded one adds exactly 0 to the interference, so the estimate has
-the law of a redraw of all K links at L/K of the normals (L loaded).
+unloaded one adds exactly 0 to the interference.  All audited states
+read one shared draw of standardized posterior errors (common random
+numbers), seeded by the config's ``rng_seed``: the j-th loaded link of
+every state uses sub-stream j.  So a state's resampled rates depend only
+on the seed, the sample count and its own loaded posterior, not on which
+other states are audited, and equal ``audit_probabilistic`` on that state.
 Sweeps rerun the experiment along one scenario axis, on one shared
 read-only draw unless the axis (the subcarrier count) changes the draw,
-and serialize rows to a fixed-header CSV with a JSON sidecar.  A sweep
-resamples after every point is solved, in one pass over all points: a
-state's redraws depend only on its audit stream and its posterior on
-the loaded links, so points that load a state alike share one draw of
-it, the distinct draws run on the sweep's workers, and every row equals
-the lone experiment.  All artifacts are deterministic for a given
-config and seed: stable float formatting, sorted keys, no timestamps.
+and serialize rows to a fixed-header CSV with a JSON sidecar.  Each point
+is solved and audited on its sweep worker, so every row equals the lone
+experiment.  All artifacts are deterministic for a given config and
+seed: stable float formatting, sorted keys, no timestamps.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from ._special import gammaincc
 from .channel import posterior_stats, sample_realizations
 from .config import ScenarioConfig, parse_value
 from .errors import ConfigError
-from .interference import (_AUDIT_TAG, _hit_rates, _posterior_gains,
-                           audit_deterministic, enforced_budgets, xi_means)
+from .interference import (_shared_collisions, audit_deterministic,
+                           enforced_budgets, xi_means)
 from .optimizer import SolveResult, solve_dual
 
 __all__ = [
@@ -69,9 +70,8 @@ _PLATEAU_GAIN = 0.01    # a sweep row gaining less ASE than this share of the la
 
 _log = logging.getLogger(__name__)
 
-# what a sweep shares with the run_experiment call of one point: the draw
-# (None when each point draws its own) and the list that call leaves its
-# pending collision audit on
+# the draw a sweep shares with the run_experiment call of each point
+# (None when each point draws its own)
 _sweep_point = contextvars.ContextVar("sweep_point", default=None)
 
 
@@ -188,56 +188,23 @@ def _worst_collisions(prob: np.ndarray, samples: int):
     return worst, float(np.max(worst_stderr))
 
 
-def _pending_audit(report, cfg: ScenarioConfig, batch, picks, samples: int):
-    """What the collision audit needs of one point, without its batch.
+def _audit_collisions(report, cfg: ScenarioConfig, batch, picks, samples: int) -> None:
+    """Posterior-resampled collision rates of the ``picks``, on one shared draw.
 
-    Per pick, in pick order: the key its redraws depend on (run seed,
-    stream, sample count, loaded support, posterior mean on it and
-    variance), that mean and the loaded powers.
-    """
-    requests = []
-    for s in picks:
-        power = report.result.policies.power[s]
-        loaded = power > 0.0
-        post = posterior_stats(cfg, batch.cross_est[s])             # (M, K)
-        mean = post.mean[:, loaded]
-        key = (cfg.rng_seed, int(batch.streams[s]), samples, loaded.tobytes(),
-               mean.tobytes(), post.variance)
-        requests.append((key, mean, power[loaded]))
-    return report, np.asarray(cfg.interference_limit_w), samples, requests
-
-
-def _audit_collisions(audits, spread=map) -> None:
-    """Posterior-resampled collision rates of every pending point's picks.
-
-    ``audits`` holds one ``_pending_audit`` per point.  The (point, state)
-    pairs that share a key share one draw, and each applies its own powers
-    and limits to it; ``spread`` maps the draws over the distinct keys (a
-    thread pool's ``map`` runs them side by side, each on its own stream).
-    Fills each report's ``collision_mc_max`` and ``collision_mc_stderr``.
+    Fills ``report.collision_mc_max`` and ``collision_mc_stderr`` and logs
+    one DEBUG record: audited states, the most links one of them loads,
+    the normals drawn and the seconds.
     """
     start = time.perf_counter()
-    groups = {}
-    rates = []
-    for report, limits, samples, requests in audits:
-        rates.append(np.zeros((len(requests), limits.size)))
-        for row, (key, mean, power) in zip(rates[-1], requests):
-            groups.setdefault(key, (mean, []))[1].append((row, power, limits))
-
-    def draw(group):
-        (seed, stream, samples, *_, variance), (mean, members) = group
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _AUDIT_TAG, stream)))
-        rows, powers, limits = zip(*members)
-        gains = _posterior_gains(rng, mean, variance, samples)
-        for row, rate in zip(rows, _hit_rates(gains, powers, limits, samples)):
-            row[:] = rate
-
-    list(spread(draw, groups.items()))
-    for (report, _, samples, _), prob in zip(audits, rates):
-        worst, report.collision_mc_stderr = _worst_collisions(prob, samples)
-        report.collision_mc_max = [float(x) for x in worst]
-    _log.debug("collision audit: %d points, %d pairs, %d draws, %.3f s",
-               len(audits), sum(r.shape[0] for r in rates), len(groups),
+    power = report.result.policies.power[picks]
+    prob = _shared_collisions(cfg.rng_seed, samples,
+                              posterior_stats(cfg, batch.cross_est[picks]), power,
+                              cfg.interference_limit_w)
+    worst, report.collision_mc_stderr = _worst_collisions(prob, samples)
+    report.collision_mc_max = [float(x) for x in worst]
+    width = int(np.max(np.sum(power > 0.0, axis=1)))
+    _log.debug("collision audit: %d states, %d loaded links at most, %d normals, %.3f s",
+               len(picks), width, 2 * samples * cfg.num_primaries * width,
                time.perf_counter() - start)
 
 
@@ -249,10 +216,11 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
 
     Probabilistic runs resample the ``audit_states`` analytically worst
     states from the posterior (0 skips that audit; the analytic column
-    stays).  Inside a sweep the report comes back with ``audited_states``
-    set and its resampled columns left for the sweep to fill; a lone run
-    fills them itself through the same ``_audit_collisions``.  A zero
-    power budget short-circuits to an all-zero report.
+    stays), all on one shared draw of ``audit_samples`` redraws seeded by
+    ``cfg.rng_seed``: each audited state's rates equal
+    ``audit_probabilistic(power, post, cfg, audit_samples)`` on it.  Inside
+    a sweep the point reuses the sweep's draw of the states.  A zero power
+    budget short-circuits to an all-zero report.
     """
     if num_states < 1:
         raise ConfigError("num_states must be >= 1")
@@ -261,8 +229,7 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
     if cfg.total_power_w == 0.0:
         return _zero_power_report(cfg, num_states)
 
-    shared, pending = _sweep_point.get() or (None, None)
-    batch = shared or sample_realizations(cfg, range(num_states))
+    batch = _sweep_point.get() or sample_realizations(cfg, range(num_states))
     result = solve_dual(cfg, batch, max_iterations=max_iterations,
                         run_all_iterations=run_all_iterations)
     power_sel = result.policies.power                               # (S, K)
@@ -303,11 +270,7 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
         collision_analytic_max=analytic_max, audited_states=len(picks),
         result=result, collision_analytic=analytic)
     if len(picks):
-        audit = _pending_audit(report, cfg, batch, picks, audit_samples)
-        if pending is None:
-            _audit_collisions([audit])
-        else:
-            pending.append(audit)
+        _audit_collisions(report, cfg, batch, picks, audit_samples)
     return report
 
 
@@ -324,11 +287,11 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
     """Run one experiment per axis value; rows keep the input order.
 
     Values must be sorted nondecreasing so the monotonicity diagnostics
-    (plateau flags, trend checks) read off the rows directly.  Every point
-    is solved first (on ``threads`` workers); then one collision audit
-    covers all points, drawing each state's posterior redraws once for
-    every point that loads it alike, with the distinct draws spread over
-    the same workers.
+    (plateau flags, trend checks) read off the rows directly.  Each point
+    is solved and audited on one of ``threads`` workers, on the states
+    the sweep draws once (per point when the axis is the subcarrier
+    count); its collision audit is the lone run's, so every row equals
+    ``run_experiment`` on that point.
     """
     values = list(values)
     if not values:
@@ -340,18 +303,12 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
               else sample_realizations(configs[0], range(num_states)))
 
     def job(c):
-        pending = []
         context = contextvars.copy_context()
-        context.run(_sweep_point.set, (shared, pending))
-        return context.run(run_experiment, c, num_states, **experiment_kwargs), pending
+        context.run(_sweep_point.set, shared)
+        return context.run(run_experiment, c, num_states, **experiment_kwargs)
 
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        spread = pool.map if threads > 1 else map
-        points = list(spread(job, configs))
-        audits = [audit for _, pending in points for audit in pending]
-        if audits:
-            _audit_collisions(audits, spread)
-    return [report for report, _ in points]
+        return list((pool.map if threads > 1 else map)(job, configs))
 
 
 def plateau_flags(reports) -> list:

@@ -17,7 +17,11 @@ central chi-square with a stretched threshold, and the chance constraint
 with certainty-equivalent weights alpha_k = var * (2 + mu_xi_k).  The
 right-hand side, the collision budget, is what the allocator enforces
 per state; Monte Carlo resampling from the posterior validates it.  The
-first term assumes the power is spread over all K subcarriers.  The cap
+resampling draws one seeded set of standardized posterior errors per
+audit and every audited state reads it (common random numbers): the
+j-th loaded link of any state uses sub-stream j, so a state's rates
+depend only on the seed, the sample count and its own loaded posterior.
+The first term assumes the power is spread over all K subcarriers.  The cap
 I / ln(1/eps) is exact for all the power on one subcarrier with a
 zero-mean posterior, which collides with probability exp(-I / budget);
 the water-filler builds such states whenever the interference budget
@@ -166,56 +170,60 @@ def enforced_budgets(cfg: ScenarioConfig) -> np.ndarray:
                      for i_th, eps in zip(cfg.interference_limit_w, cfg.collision_limit)])
 
 
-def _posterior_gains(rng, mean, variance: float, samples: int):
-    """Yield ``samples`` posterior redraws of |H|^2 on the (M, L) links of ``mean``.
+def _audit_streams(seed: int, width: int) -> list:
+    """The audit's sub-streams of ``seed``, one per loaded-link ordinal 0 .. width - 1."""
+    return [np.random.default_rng(np.random.SeedSequence((int(seed), _AUDIT_TAG, j)))
+            for j in range(width)]
 
-    Draws in blocks of 4096 redraws: a block's real parts, then its
-    imaginary parts.  Every audit stream follows this layout, so one
-    seeded generator and equal inputs give the same (block, M, L) gains.
-    The arithmetic runs in place on the drawn normals, in the order of
-    mean + std * z and re^2 + im^2, so it rounds alike.
+
+def _shared_collisions(seed: int, samples: int, post: PosteriorCrossStats, power,
+                       limits) -> np.ndarray:
+    """Fraction of ``samples`` shared posterior redraws above each limit, per state.
+
+    ``post`` holds the (S, M, K) posterior of S states' cross links and
+    ``power`` their (S, K) powers.  Only loaded links (P_k > 0) count: an
+    unloaded one adds exactly 0 to sum_k P_k |H_k|^2.  The j-th loaded link
+    of every state and primary is redrawn as mean + std z from the standard
+    complex normals z of sub-stream j (:func:`_audit_streams`), drawn in
+    blocks of 4096 redraws as (M, 2, block): per primary, the real parts,
+    then the imaginary parts.  So a state's rates depend only on the seed,
+    the sample count and its own loaded posterior.  Expanding
+    sum_j P_j |m_j + std z_j|^2 = c0 + sum_j (a_j Re z_j + b_j Im z_j
+    + d_j |z_j|^2) makes each state's interference one matrix-vector
+    product per primary on the first 3L rows of the block.
+    Returns the (S, M) rates.
     """
-    std = math.sqrt(variance)
+    std = math.sqrt(post.variance)
+    limits = np.asarray(limits, dtype=float)[:, None]
+    loaded = power > 0.0
+    m = limits.shape[0]
+    coefs, base = [], []
+    for mean, p, on in zip(post.mean, power, loaded):
+        mean, p = mean[:, on], p[on]
+        coef = np.empty(mean.shape + (3,))                           # (M, L, 3)
+        coef[..., 0] = 2.0 * std * p * mean.real
+        coef[..., 1] = 2.0 * std * p * mean.imag
+        coef[..., 2] = post.variance * p
+        coefs.append(coef.reshape(m, 1, -1))
+        base.append((mean.real ** 2 + mean.imag ** 2) @ p)
+    streams = _audit_streams(seed, int(np.max(np.sum(loaded, axis=1))))
+    hits = np.zeros((len(coefs), m))
+    space = np.empty((m, len(streams), 3, min(samples, 1 << 12)))
     done = 0
     while done < samples:
         block = min(samples - done, 1 << 12)
-        re = rng.standard_normal((block,) + mean.shape)
-        re *= std
-        re += mean.real
-        im = rng.standard_normal((block,) + mean.shape)
-        im *= std
-        im += mean.imag
-        re *= re
-        im *= im
-        re += im
-        yield re
+        terms = space[..., :block]
+        for j, rng in enumerate(streams):
+            z = rng.standard_normal((m, 2, block))
+            terms[:, j, :2] = z
+            z *= z
+            np.add(z[:, 0], z[:, 1], out=terms[:, j, 2])
+        for hit, coef, c0 in zip(hits, coefs, base):
+            level = coef @ terms[:, :coef.shape[2] // 3].reshape(m, -1, block)
+            level = level[:, 0] + c0[:, None]
+            hit += np.count_nonzero(level > limits, axis=1)
         done += block
-
-
-def _hit_rates(gains, powers, limits, samples: int) -> np.ndarray:
-    """Fraction of the ``samples`` redraws in ``gains`` whose interference tops each limit.
-
-    ``powers`` and ``limits`` hold one (L,) power and its (M,) limits per
-    member; every member is applied to each block of the one draw.
-    Returns the (members, M) rates.
-    """
-    hits = np.zeros((len(powers), len(limits[0])))
-    for gain in gains:
-        for hit, power, limit in zip(hits, powers, limits):
-            hit += np.sum(gain @ power > limit, axis=0)
     return hits / samples
-
-
-def _posterior_collisions(rng, post: PosteriorCrossStats, power, limits, samples: int):
-    """Fraction of posterior redraws of the (M, K) cross links above each limit.
-
-    ``_posterior_gains`` redraws only the loaded links (P_k > 0): an
-    unloaded link adds exactly 0 to sum_k P_k |H_k|^2, so leaving it out
-    changes no hit.  ``_hit_rates`` then counts the hits.
-    """
-    loaded = power > 0.0
-    gains = _posterior_gains(rng, post.mean[:, loaded], post.variance, samples)
-    return _hit_rates(gains, [power[loaded]], [limits], samples)[0]
 
 
 def audit_probabilistic(power, post: PosteriorCrossStats, cfg: ScenarioConfig,
@@ -228,6 +236,10 @@ def audit_probabilistic(power, post: PosteriorCrossStats, cfg: ScenarioConfig,
     adds exactly 0 to the interference, so it is not drawn), recomputes
     the received interference, and returns (prob, stderr): the (M,)
     fraction above each primary's limit and its binomial standard error.
+    This is :func:`_shared_collisions` for one state: the rates depend
+    only on ``seed`` (the config's ``rng_seed`` when None), ``samples``
+    and the posterior on the loaded links, and equal those the harness
+    audit reports for a state with that loaded posterior and seed.
     """
     if samples < 10_000:
         raise ValueError("need >= 1e4 samples for a usable exceedance estimate")
@@ -236,7 +248,7 @@ def audit_probabilistic(power, post: PosteriorCrossStats, cfg: ScenarioConfig,
         raise ShapeError("power must be (K,) with the posterior's num_subcarriers")
     if seed is None:
         seed = cfg.rng_seed
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), _AUDIT_TAG)))
-    limits = np.asarray(cfg.interference_limit_w)
-    prob = _posterior_collisions(rng, post, power, limits, samples)
+    one = PosteriorCrossStats(post.mean[None], post.variance)
+    prob = _shared_collisions(seed, samples, one, power[None],
+                              cfg.interference_limit_w)[0]
     return prob, np.sqrt(prob * (1.0 - prob) / samples)

@@ -408,7 +408,7 @@ def _tighten(ws: _Workspace, mu: float, idx: np.ndarray, eta_hint: np.ndarray, a
     trial the rows the search leaves at 0.  So ``alloc`` always holds the
     allocation at the current ``eta``.
     """
-    links = ws.links[idx]
+    links = ws.links if idx.size == ws.count else ws.links[idx]    # no copy when all bind
     budgets = ws.budgets
     eta = np.zeros((idx.size, budgets.size))
 

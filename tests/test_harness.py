@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ofdma_underlay.harness as harness_module
+import ofdma_underlay.interference as interference_module
 from ofdma_underlay.channel import posterior_stats, sample_realizations
 from ofdma_underlay.config import build_config
 from ofdma_underlay.errors import ConfigError
@@ -283,7 +284,7 @@ def test_sweep_draws_the_states_once(monkeypatch, threads):
 
 
 # ---------------------------------------------------------------------------
-# the collision audit a sweep shares across its points
+# the collision audit: one shared posterior draw per audited point
 
 AUDIT = {"audit_states": 4, "audit_samples": 2000}
 
@@ -301,26 +302,21 @@ class _CountingGenerator:
 
 def _count_audit_normals(monkeypatch) -> list:
     counts = []
-    draw = harness_module._posterior_gains
-    monkeypatch.setattr(harness_module, "_posterior_gains",
-                        lambda rng, *args: draw(_CountingGenerator(rng, counts), *args))
+    streams = interference_module._audit_streams
+    monkeypatch.setattr(interference_module, "_audit_streams",
+                        lambda *args: [_CountingGenerator(rng, counts)
+                                       for rng in streams(*args)])
     return counts
 
 
-def _audit_normals(cfg, rows, samples):
-    """Normals of all audited (point, state) pairs, and per distinct draw."""
-    per_pair, per_key = 0, {}
+def _audit_widths(rows) -> list:
+    """Per row: the most links any of its audited states loads."""
+    widths = []
     for row in rows:
-        point = cfg.with_updates(num_subcarriers=row.result.policies.power.shape[1])
-        batch = sample_realizations(point, range(row.num_states))
         picks = np.argsort(np.max(row.collision_analytic, axis=1))[::-1]
-        for s in picks[:row.audited_states]:
-            loaded = row.result.policies.power[s] > 0.0
-            mean = posterior_stats(point, batch.cross_est[s]).mean[:, loaded]
-            normals = 2 * samples * mean.size
-            per_pair += normals
-            per_key[(int(batch.streams[s]), loaded.tobytes(), mean.tobytes())] = normals
-    return per_pair, per_key
+        power = row.result.policies.power[picks[:row.audited_states]]
+        widths.append(int(np.max(np.sum(power > 0.0, axis=1))))
+    return widths
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -337,20 +333,20 @@ def test_shared_audit_rows_equal_lone_runs(threads, axis, values):
         assert json.dumps(row.to_mapping()) == json.dumps(alone.to_mapping())
 
 
-def test_epsilon_sweep_draws_each_audit_key_once(monkeypatch):
+def test_epsilon_sweep_draws_each_points_widest_state(monkeypatch):
     counts = _count_audit_normals(monkeypatch)
     cfg = _small_imperfect()
     rows = sweep(cfg, "epsilon", [0.05, 0.1, 0.2], 60, **AUDIT)
-    per_pair, per_key = _audit_normals(cfg, rows, AUDIT["audit_samples"])
-    assert sum(counts) == sum(per_key.values()) < per_pair
+    samples, m = AUDIT["audit_samples"], cfg.num_primaries
+    assert sum(counts) == sum(2 * samples * m * w for w in _audit_widths(rows)) > 0
 
 
 def test_subcarrier_sweep_audits_each_point_on_its_own_draw(monkeypatch):
     counts = _count_audit_normals(monkeypatch)
     cfg = _small_imperfect()
     rows = sweep(cfg, "k", [8, 16], 60, **AUDIT)
-    per_pair, per_key = _audit_normals(cfg, rows, AUDIT["audit_samples"])
-    assert sum(counts) == sum(per_key.values()) == per_pair
+    samples, m = AUDIT["audit_samples"], cfg.num_primaries
+    assert sum(counts) == sum(2 * samples * m * w for w in _audit_widths(rows)) > 0
     for k, row in zip([8, 16], rows):
         alone = run_experiment(cfg.with_updates(num_subcarriers=k), 60, **AUDIT)
         assert json.dumps(row.to_mapping()) == json.dumps(alone.to_mapping())
@@ -359,32 +355,47 @@ def test_subcarrier_sweep_audits_each_point_on_its_own_draw(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_audit_draws_on_the_sweep_workers(monkeypatch, threads):
     names = []
-    draw = harness_module._posterior_gains
+    streams = interference_module._audit_streams
 
     def record(*args):
         names.append(threading.current_thread().name)
-        return draw(*args)
+        return streams(*args)
 
-    monkeypatch.setattr(harness_module, "_posterior_gains", record)
+    monkeypatch.setattr(interference_module, "_audit_streams", record)
     sweep(_small_imperfect(), "epsilon", [0.05, 0.1, 0.2], 60, threads=threads,
           **AUDIT)
     main = threading.main_thread().name
-    assert names and all((name == main) == (threads == 1) for name in names)
+    assert len(names) == 3
+    assert all((name == main) == (threads == 1) for name in names)
 
 
-def test_audit_logs_points_pairs_and_draws(caplog):
+def test_lone_audit_equals_audit_probabilistic():
+    cfg = _small_imperfect()
+    report = run_experiment(cfg, 60, audit_states=1)
+    pick = int(np.argmax(np.max(report.collision_analytic, axis=1)))
+    post = posterior_stats(cfg, sample_realizations(cfg, range(60)).cross_est[pick])
+    prob, _ = audit_probabilistic(report.result.policies.power[pick], post, cfg,
+                                  samples=20_000, seed=cfg.rng_seed)
+    assert 0.0 < prob[0] < 1.0
+    assert report.collision_mc_max == [float(x) for x in prob]
+
+
+def test_audit_logs_pairs_width_and_normals(caplog, monkeypatch):
+    counts = _count_audit_normals(monkeypatch)
     cfg = _small_imperfect()
     with caplog.at_level(logging.DEBUG, logger="ofdma_underlay.harness"):
         rows = sweep(cfg, "epsilon", [0.05, 0.1, 0.2], 60, **AUDIT)
-        run_experiment(cfg, 60, **AUDIT)
+        rows.append(run_experiment(cfg, 60, **AUDIT))
         sweep(_cfg(), "ith", [1.0, 2.0], 30)
-    _, per_key = _audit_normals(cfg, rows, AUDIT["audit_samples"])
     records = [r for r in caplog.records if r.name == "ofdma_underlay.harness"]
-    assert [r.levelno for r in records] == [logging.DEBUG] * 2
-    points, pairs, draws, seconds = records[0].args
-    assert (points, pairs, draws) == (3, 12, len(per_key)) and draws < pairs
-    assert seconds >= 0.0
-    assert records[1].args[:3] == (1, 4, 4)      # a lone run; the ith sweep logs none
+    assert [r.levelno for r in records] == [logging.DEBUG] * 4   # the ith sweep logs none
+    widths = _audit_widths(rows)
+    for record, width in zip(records, widths):
+        pairs, logged_width, normals, seconds = record.args
+        assert (pairs, logged_width) == (4, width)
+        assert normals == 2 * AUDIT["audit_samples"] * cfg.num_primaries * width
+        assert seconds >= 0.0
+    assert sum(r.args[2] for r in records) == sum(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Interference audits, the chi-square composition, and the surrogate budget."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from scipy import stats
 from ofdma_underlay.channel import (PosteriorCrossStats, posterior_stats,
                                     sample_realizations)
 from ofdma_underlay.errors import ShapeError
-from ofdma_underlay.interference import (_posterior_collisions, alpha_weights,
+import ofdma_underlay.interference as interference_module
+from ofdma_underlay.interference import (_shared_collisions, alpha_weights,
                                          audit_deterministic,
                                          audit_probabilistic,
                                          central_tail_approx, composite_chisq,
@@ -251,21 +253,36 @@ def test_probabilistic_audit_reproducible():
 
 
 class _CountingRng:
-    """A generator that counts the normals it hands out."""
+    """Wraps a generator and counts the normals it hands out."""
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.normals = 0
+    def __init__(self, rng, counts):
+        self.rng, self.counts = rng, counts
 
     def standard_normal(self, size):
-        self.normals += int(np.prod(size))
+        self.counts.append(int(np.prod(size)))
         return self.rng.standard_normal(size)
+
+
+def _count_audit_normals(monkeypatch) -> list:
+    counts = []
+    streams = interference_module._audit_streams
+    monkeypatch.setattr(interference_module, "_audit_streams",
+                        lambda *args: [_CountingRng(rng, counts) for rng in streams(*args)])
+    return counts
 
 
 def _spread_posterior(m, k, variance=0.75):
     rng = np.random.default_rng(0)
     mean = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
     return PosteriorCrossStats(mean=mean, variance=variance)
+
+
+def _audit(seed, samples, post, powers, limits):
+    """_shared_collisions of the (S, K) ``powers``, all on one (M, K) posterior."""
+    powers = np.asarray(powers, dtype=float)
+    mean = np.broadcast_to(post.mean, (len(powers),) + post.mean.shape)
+    return _shared_collisions(seed, samples, PosteriorCrossStats(mean, post.variance),
+                              powers, limits)
 
 
 def test_posterior_collisions_ignore_unloaded_links():
@@ -275,17 +292,12 @@ def test_posterior_collisions_ignore_unloaded_links():
     limits = np.array([3.0, 5.0])
     moved = post.mean.copy()
     moved[:, [0, 5, 15]] += 7.0 - 3.0j
-    one = _posterior_collisions(np.random.default_rng(4), post, power, limits,
-                                20_000)
-    two = _posterior_collisions(np.random.default_rng(4),
-                                PosteriorCrossStats(moved, post.variance),
-                                power, limits, 20_000)
+    one = _audit(4, 20_000, post, [power], limits)
+    two = _audit(4, 20_000, PosteriorCrossStats(moved, post.variance), [power], limits)
     kept = [2, 9, 10]
-    three = _posterior_collisions(np.random.default_rng(4),
-                                  PosteriorCrossStats(post.mean[:, kept],
-                                                      post.variance),
-                                  power[kept], limits, 20_000)
-    assert 0.0 < one[0] < 1.0 and 0.0 < one[1] < 1.0
+    three = _audit(4, 20_000, PosteriorCrossStats(post.mean[:, kept], post.variance),
+                   [power[kept]], limits)
+    assert 0.0 < one[0, 0] < 1.0 and 0.0 < one[0, 1] < 1.0
     assert one.tobytes() == two.tobytes() == three.tobytes()
 
 
@@ -304,16 +316,19 @@ def test_posterior_collisions_one_loaded_link_is_ncx2():
 
 
 @pytest.mark.parametrize("loaded", [[], [6], [0, 3, 11, 63]])
-def test_posterior_collisions_draw_only_loaded_links(loaded):
+def test_posterior_collisions_draw_only_loaded_links(monkeypatch, loaded):
+    counts = _count_audit_normals(monkeypatch)
     post = _spread_posterior(2, 64)
-    power = np.zeros(64)
-    power[loaded] = 0.5
+    wide, narrow = np.zeros(64), np.zeros(64)
+    wide[loaded] = 0.5
+    narrow[loaded[:1]] = 0.5
     samples = 10_000                     # two full blocks and a partial one
-    rng = _CountingRng(1)
-    prob = _posterior_collisions(rng, post, power, np.array([1.0, 2.0]), samples)
-    assert rng.normals == 2 * samples * 2 * len(loaded)
+    prob = _audit(1, samples, post, [narrow, wide, np.zeros(64)], np.array([1.0, 2.0]))
+    # one shared draw, as wide as the most loaded state: 2 samples M max L
+    assert sum(counts) == 2 * samples * 2 * len(loaded)
+    np.testing.assert_array_equal(prob[2], [0.0, 0.0])
     if not loaded:
-        np.testing.assert_array_equal(prob, [0.0, 0.0])
+        np.testing.assert_array_equal(prob, np.zeros((3, 2)))
 
 
 def test_posterior_collisions_keep_the_stream_layout():
@@ -322,20 +337,54 @@ def test_posterior_collisions_keep_the_stream_layout():
     power[[1, 4, 9, 30, 63]] = [0.5, 0.2, 1.1, 0.05, 0.7]
     limits = np.array([6.0, 9.0])
     samples = 10_000                     # two full blocks and a partial one
-    got = _posterior_collisions(np.random.default_rng(9), post, power, limits, samples)
-    # the block loop every audit stream has followed: per block of 4096
-    # redraws, the real parts of the loaded links, then their imaginary parts
-    rng = np.random.default_rng(9)
+    got = _audit(9, samples, post, [power], limits)[0]
+    # the direct sum_j P_j |m_j + std z_j|^2 on the same normals: the j-th
+    # loaded link reads sub-stream j, (M, 2, block) per block of 4096 redraws
     loaded = power > 0.0
     mean, weights = post.mean[:, loaded], power[loaded]
     std = math.sqrt(post.variance)
+    streams = [np.random.default_rng(np.random.SeedSequence((9, 0xA0D17, j)))
+               for j in range(weights.size)]
     hits = np.zeros(2)
     done = 0
     while done < samples:
         block = min(samples - done, 4096)
-        re = mean.real + std * rng.standard_normal((block,) + mean.shape)
-        im = mean.imag + std * rng.standard_normal((block,) + mean.shape)
+        z = np.stack([rng.standard_normal((2, 2, block)) for rng in streams], axis=-1)
+        re = mean.real + std * z[:, 0].transpose(1, 0, 2)       # (block, M, L)
+        im = mean.imag + std * z[:, 1].transpose(1, 0, 2)
         hits += np.sum((re * re + im * im) @ weights > limits, axis=0)
         done += block
     assert np.all((got > 0.05) & (got < 0.95))
-    assert got.tobytes() == (hits / samples).tobytes()
+    np.testing.assert_array_equal(got * samples, hits)
+
+
+def test_audit_rate_ignores_wider_states_beside_it():
+    post = _spread_posterior(1, 64, 0.5)
+    rng = np.random.default_rng(3)
+    powers = np.zeros((3, 64))
+    powers[0, [5, 17, 40]] = [0.7, 1.2, 0.3]
+    powers[1, rng.choice(64, 20, replace=False)] = 0.2
+    powers[2] = rng.uniform(0.01, 0.1, 64)
+    limits = np.array([4.0])
+    alone = _audit(2, 20_000, post, powers[:1], limits)
+    beside = _audit(2, 20_000, post, powers, limits)
+    assert 0.0 < alone[0, 0] < 1.0
+    assert alone[0].tobytes() == beside[0].tobytes()
+    cfg = imperfect_benchmark(interference_limit_w=(4.0,))
+    prob, _ = audit_probabilistic(powers[0], post, cfg, samples=20_000, seed=2)
+    assert prob.tobytes() == alone[0].tobytes()
+
+
+def test_full_state_audit_draws_in_blocks():
+    post = _spread_posterior(1, 64)
+    cfg = imperfect_benchmark()
+    power = np.full(64, 0.05)
+    tracemalloc.start()
+    try:
+        audit_probabilistic(power, post, cfg, samples=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block of 4096 redraws of (Re z, Im z, |z|^2) on 64 links is
+    # 6.3 MB; the whole draw at once would be 30.7 MB
+    assert peak < 8e6

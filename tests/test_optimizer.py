@@ -582,6 +582,22 @@ def test_tighten_keeps_the_allocation_at_the_final_eta(monkeypatch):
         assert np.array_equal(kept, fresh)
 
 
+def test_tightening_every_state_holds_no_second_links_stack():
+    # at mu = 0.01 every imperfect-preset state breaks its budget, so the
+    # tightening gathers all rows: it reads the workspace stack itself
+    cfg = imperfect_benchmark()
+    ws = optimizer_module._Workspace(cfg, sample_realizations(cfg, range(200)))
+    assert np.all(ws.first_pass(0.01)[1])
+    tracemalloc.start()
+    try:
+        *_, eta = optimizer_module._solve_states(ws, 0.01, np.zeros((200, 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(eta > 0.0)
+    assert peak < 2 * ws.links.nbytes
+
+
 def _candidates(mu, eta, inv_density, density, pcut, weights):
     """Every candidate's power, x and metric, by the stationary-allocation formulas."""
     priced = np.einsum("sm,smk->sk", eta, weights)
