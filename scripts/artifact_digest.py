@@ -2,22 +2,22 @@
 
 Runs a fixed set of ``ofdma-underlay`` invocations (both presets, two
 primaries, a short imperfect band, a wideband discrete solve, zero power
-in both modes, a power jump across the window at mu's root, the I_th and
-epsilon sweeps, four SINR tables, ``validate`` and ``selftest``), each in
-a fresh single-threaded process, and prints one ``sha256  path`` line per
-written file, sorted by path.  Every command writes its standard output to
-``<name>/stdout.txt`` and its exit code to ``<name>/exit.txt``; commands
-run inside the output directory with relative ``--out`` paths, so nothing
-machine-specific lands in them.  The lines are in ``sha256sum`` format, so
-two source trees are compared by diffing the script's output on each (see
-the README).
+in both modes, a power jump across the window at mu's root, twelve dual
+iterations, the I_th and epsilon sweeps, four SINR tables, ``validate``
+and ``selftest``), each in a fresh single-threaded process, and prints
+one ``sha256  path`` line per written file, sorted by path.  Every
+command writes its standard output to ``<name>/stdout.txt`` and its exit
+code to ``<name>/exit.txt``; commands run inside the output directory
+with relative ``--out`` paths, so nothing machine-specific lands in them.
+The lines are in ``sha256sum`` format, so two source trees are compared
+by diffing the script's output on each (see the README).
 
 Usage:
     python3 scripts/artifact_digest.py OUT_DIR [--src SRC_DIR]
     python3 scripts/artifact_digest.py --compare OLD_DIR NEW_DIR
 
 ``--src`` is the directory that holds the ``ofdma_underlay`` package;
-it defaults to ``src/`` next to this script.  Takes about 30 s on two
+it defaults to ``src/`` next to this script.  Takes about 3 s on two
 cores.  ``--compare`` reads two such directories and, for each file
 whose bytes differ, prints the largest relative change
 |new - old| / max(|old|, |new|) of each numeric field that moved.  A
@@ -65,6 +65,9 @@ MATRIX = [
     ("run-jump", ["run", "--preset", "deterministic", "--set", "num_subcarriers=2",
                   "--set", "num_users=2", "--set", "interference_limit_w=2.762",
                   "--seed", "112", "--states", "30", "--out", "{out}"]),
+    # eleven projected subgradient steps after the settled mu: the trace rows
+    ("run-forced", ["run", "--preset", "deterministic", "--states", "100",
+                    "--iterations", "12", "--out", "{out}"]),
     ("sweep-ith", ["sweep", "--preset", "deterministic", "--axis", "ith",
                    "--values", "1,2,5,10,20", "--states", "100",
                    "--threads", "1", "--out", "{out}"]),

@@ -25,7 +25,6 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -33,8 +32,9 @@ import numpy as np
 
 from .config import ScenarioConfig, apply_overrides, build_config, load_config
 from .errors import ConfigError, ConvergenceError, InfeasibleError
-from .harness import (SWEEP_AXES, TRACE_HEADER, format_float, run_experiment,
-                      sweep, write_sweep_csv, write_sweep_json, write_trace_csv)
+from .harness import (SWEEP_AXES, _write_json, _write_text, format_float,
+                      run_experiment, sweep, write_sweep_csv, write_sweep_json,
+                      write_trace_csv)
 from .presets import PRESETS, get_preset
 from .selftest import run_selftest
 from .sinr import sample_sinr_mc, sinr_distribution
@@ -76,6 +76,15 @@ def _add_config_flags(sub):
                      help="override rate_mode")
 
 
+def _add_experiment_flags(sub):
+    sub.add_argument("--states", type=int, default=2000,
+                     help="number of fading states (default 2000)")
+    sub.add_argument("--audit-states", type=int, default=32,
+                     help="states resampled for the collision audit")
+    sub.add_argument("--audit-samples", type=int, default=20000,
+                     help="posterior draws per audited state")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ofdma-underlay",
@@ -89,32 +98,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("run", help="solve one scenario")
     _add_config_flags(p)
-    p.add_argument("--states", type=int, default=2000,
-                   help="number of fading states (default 2000)")
-    p.add_argument("--iterations", type=int, default=500,
-                   help="subgradient iterations under --all-iterations (default 500)")
-    p.add_argument("--all-iterations", action="store_true",
-                   help="run --iterations projected subgradient steps from the "
-                   "settled power multiplier (a convergence study)")
-    p.add_argument("--audit-states", type=int, default=32,
-                   help="states resampled for the collision audit")
-    p.add_argument("--audit-samples", type=int, default=20000,
-                   help="posterior draws per audited state")
+    _add_experiment_flags(p)
+    p.add_argument("--iterations", type=int, default=1,
+                   help="dual iterations; each past the first is a projected "
+                        "subgradient step, for convergence studies (default 1)")
     p.add_argument("--out", metavar="DIR",
                    help="write report.json and trace.csv into this directory")
     p.set_defaults(func=_cmd_run)
 
     p = subs.add_parser("sweep", help="sweep one scenario axis")
     _add_config_flags(p)
+    _add_experiment_flags(p)
     p.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES),
                    help="which scenario knob to sweep")
     p.add_argument("--values", required=True,
                    help="comma-separated axis values, sorted nondecreasing")
-    p.add_argument("--states", type=int, default=2000)
     p.add_argument("--threads", type=int, default=None,
                    help="parallel experiments (default: machine parallelism)")
-    p.add_argument("--audit-states", type=int, default=32)
-    p.add_argument("--audit-samples", type=int, default=20000)
     p.add_argument("--out", required=True, metavar="DIR",
                    help="directory for sweep.csv and sweep.json")
     p.set_defaults(func=_cmd_sweep)
@@ -188,26 +188,19 @@ def _out_dir(path: str) -> str:
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    rep = run_experiment(cfg, args.states, max_iterations=args.iterations,
-                         run_all_iterations=args.all_iterations,
+    rep = run_experiment(cfg, args.states, iterations=args.iterations,
                          audit_states=args.audit_states,
                          audit_samples=args.audit_samples)
     for line in _report_lines(cfg, rep):
         print(line)
     if args.out:
         out = _out_dir(args.out)
-        payload = {"config": cfg.to_mapping(), "report": rep.to_mapping()}
-        with open(os.path.join(out, "report.json"), "w", encoding="utf-8",
-                  newline="") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        report_path = os.path.join(out, "report.json")
         trace_path = os.path.join(out, "trace.csv")
-        if rep.result is not None:
-            write_trace_csv(trace_path, rep.result.dual)
-        else:
-            with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(TRACE_HEADER + "\n")
-        print("wrote %s and %s" % (os.path.join(out, "report.json"), trace_path))
+        _write_json(report_path, {"config": cfg.to_mapping(),
+                                  "report": rep.to_mapping()})
+        write_trace_csv(trace_path, rep.result.dual if rep.result else None)
+        print("wrote %s and %s" % (report_path, trace_path))
     return 0
 
 
@@ -266,8 +259,7 @@ def _cmd_dist_table(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         path = os.path.join(_out_dir(args.out), "dist_table.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(path, text)
         print("wrote %s (%d points)" % (path, args.points))
     else:
         sys.stdout.write(text)
@@ -295,10 +287,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print("ERROR 4: %s" % exc, file=sys.stderr)
         return 4
-    except (ConfigError, ValueError) as exc:
-        print("ERROR 2: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print("ERROR 2: %s" % exc, file=sys.stderr)
         return 2
 

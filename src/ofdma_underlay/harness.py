@@ -127,25 +127,15 @@ class EvaluationReport:
                    if f.name not in ("result", "collision_analytic")}}
 
 
-def _zero_power_report(cfg: ScenarioConfig, num_states: int) -> EvaluationReport:
-    m = cfg.num_primaries
-    zeros = [0.0] * m
-    budgets = [float(b) for b in enforced_budgets(cfg)]
-    report = EvaluationReport(
+def _report(cfg: ScenarioConfig, num_states: int, **measured) -> EvaluationReport:
+    """A report of ``cfg``'s scenario fields, plus the ``measured`` ones."""
+    return EvaluationReport(
         csi_mode=cfg.csi_mode,
         constraint_mode=cfg.constraint_mode, rate_mode=cfg.rate_mode,
-        num_states=num_states, total_power_w=0.0,
+        num_states=num_states, total_power_w=cfg.total_power_w,
         interference_limit_w=list(cfg.interference_limit_w),
         collision_limit=list(cfg.collision_limit), ber_target=cfg.ber_target,
-        ase=0.0, ase_stderr=0.0, avg_power_w=0.0, power_gap_w=0.0,
-        mu=0.0, iterations=0, converged=True, budgets_w=budgets,
-        enforced_interference_max=zeros, true_interference_mean=zeros,
-        true_interference_max=zeros, true_violation_rate=zeros,
-        collision_analytic_max=(zeros if cfg.constraint_mode == "probabilistic"
-                                else None),
-        collision_mc_max=None, collision_mc_stderr=None, audited_states=0)
-    report.fingerprint = cfg.fingerprint()      # no solve holds the config here
-    return report
+        **measured)
 
 
 def _collision_analytic(cfg: ScenarioConfig, batch, power_sel: np.ndarray):
@@ -176,16 +166,11 @@ def _collision_analytic(cfg: ScenarioConfig, batch, power_sel: np.ndarray):
 
 
 def _worst_collisions(prob: np.ndarray, samples: int):
-    """Each primary's worst rate over the (picks, M) rates, taken in pick
-    order, and the largest of the stderrs taken at those worst states."""
-    worst = np.zeros(prob.shape[1])
-    worst_stderr = np.zeros(prob.shape[1])
-    for rate in prob:
-        stderr = np.sqrt(np.maximum(rate * (1.0 - rate), 1.0 / samples) / samples)
-        pick = rate > worst
-        worst = np.where(pick, rate, worst)
-        worst_stderr = np.where(pick, stderr, worst_stderr)
-    return worst, float(np.max(worst_stderr))
+    """Each primary's worst (picks, M) rate, first in pick order, and the
+    largest stderr at those worst states (0 for a primary no state hits)."""
+    worst = prob[np.argmax(prob, axis=0), np.arange(prob.shape[1])]
+    stderr = np.sqrt(np.maximum(worst * (1.0 - worst), 1.0 / samples) / samples)
+    return worst, float(np.max(np.where(worst > 0.0, stderr, 0.0)))
 
 
 def _audit_collisions(report, cfg: ScenarioConfig, batch, picks, samples: int) -> None:
@@ -208,12 +193,12 @@ def _audit_collisions(report, cfg: ScenarioConfig, batch, picks, samples: int) -
                time.perf_counter() - start)
 
 
-def run_experiment(cfg: ScenarioConfig, num_states: int, *,
-                   max_iterations: int = 500, run_all_iterations: bool = False,
+def run_experiment(cfg: ScenarioConfig, num_states: int, *, iterations: int = 1,
                    audit_states: int = 32,
                    audit_samples: int = 20000) -> EvaluationReport:
     """Solve one scenario over ``num_states`` fading states and audit it.
 
+    ``iterations`` goes to :func:`solve_dual` (1: the settled warm start).
     Probabilistic runs resample the ``audit_states`` analytically worst
     states from the posterior (0 skips that audit; the analytic column
     stays), all on one shared draw of ``audit_samples`` redraws seeded by
@@ -222,23 +207,31 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
     a sweep the point reuses the sweep's draw of the states.  A zero power
     budget short-circuits to an all-zero report.
     """
-    if num_states < 1:
-        raise ConfigError("num_states must be >= 1")
+    if num_states < 1 or iterations < 1:
+        raise ConfigError("num_states and iterations must be >= 1")
     if audit_states < 0 or audit_samples < 1:
         raise ConfigError("audit_states must be >= 0 and audit_samples >= 1")
+    probabilistic = cfg.constraint_mode == "probabilistic"
     if cfg.total_power_w == 0.0:
-        return _zero_power_report(cfg, num_states)
+        zeros = [0.0] * cfg.num_primaries
+        report = _report(
+            cfg, num_states, ase=0.0, ase_stderr=0.0, avg_power_w=0.0,
+            power_gap_w=0.0, mu=0.0, iterations=0, converged=True,
+            budgets_w=[float(b) for b in enforced_budgets(cfg)],
+            enforced_interference_max=zeros, true_interference_mean=zeros,
+            true_interference_max=zeros, true_violation_rate=zeros,
+            collision_analytic_max=zeros if probabilistic else None)
+        report.fingerprint = cfg.fingerprint()      # no solve holds the config here
+        return report
 
     batch = _sweep_point.get() or sample_realizations(cfg, range(num_states))
-    result = solve_dual(cfg, batch, max_iterations=max_iterations,
-                        run_all_iterations=run_all_iterations)
+    result = solve_dual(cfg, batch, iterations=iterations)
     power_sel = result.policies.power                               # (S, K)
 
     true_interf = audit_deterministic(power_sel, batch.cross_true)  # (S, M)
     limits = np.asarray(cfg.interference_limit_w)
     violation = np.mean(true_interf > limits * (1.0 + 1e-6), axis=0)
 
-    probabilistic = cfg.constraint_mode == "probabilistic"
     analytic = analytic_max = None
     picks = ()
     if probabilistic:
@@ -250,13 +243,8 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *,
             order = np.argsort(np.max(analytic, axis=1))[::-1]
             picks = order[:min(audit_states, num_states)]
 
-    report = EvaluationReport(
-        csi_mode=cfg.csi_mode,
-        constraint_mode=cfg.constraint_mode, rate_mode=cfg.rate_mode,
-        num_states=num_states, total_power_w=cfg.total_power_w,
-        interference_limit_w=list(cfg.interference_limit_w),
-        collision_limit=list(cfg.collision_limit), ber_target=cfg.ber_target,
-        ase=result.ase, ase_stderr=result.ase_stderr,
+    report = _report(
+        cfg, num_states, ase=result.ase, ase_stderr=result.ase_stderr,
         avg_power_w=result.avg_power_w,
         power_gap_w=result.avg_power_w - cfg.total_power_w,
         mu=result.dual.mu, iterations=result.dual.iterations,
@@ -338,34 +326,36 @@ def sweep_csv_rows(values, reports) -> list[str]:
     return rows
 
 
-def write_sweep_csv(path, values, reports) -> None:
-    text = "\n".join(sweep_csv_rows(values, reports)) + "\n"
+def _write_text(path, text: str) -> None:
+    """Write an artifact as UTF-8 with the newlines as given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
+def _write_json(path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_sweep_csv(path, values, reports) -> None:
+    _write_text(path, "\n".join(sweep_csv_rows(values, reports)) + "\n")
+
+
 def write_sweep_json(path, cfg: ScenarioConfig, axis: str, values,
                      reports) -> None:
-    payload = {
+    _write_json(path, {
         "config": cfg.to_mapping(),
         "axis": axis,
         "values": [float(v) for v in values],
         "plateau": plateau_flags(reports),
         "rows": [rep.to_mapping() for rep in reports],
-    }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def write_trace_csv(path, dual_state) -> None:
-    trace = dual_state.trace
+    """One row per iteration of ``dual_state``; the header alone for None."""
     lines = [TRACE_HEADER]
-    for i in range(len(trace["iter"])):
-        lines.append(",".join([
-            "%d" % trace["iter"][i], format_float(trace["mu"][i]),
-            format_float(trace["primal_ase"][i]),
-            format_float(trace["dual_value"][i]),
-            format_float(trace["power_gap"][i])]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if dual_state is not None:      # the header names the trace's columns in order
+        columns = (dual_state.trace[name] for name in TRACE_HEADER.split(","))
+        for it, *values in zip(*columns):
+            lines.append(",".join(["%d" % it, *map(format_float, values)]))
+    _write_text(path, "\n".join(lines) + "\n")

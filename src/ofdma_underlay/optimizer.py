@@ -27,8 +27,8 @@ multipliers, until the realized budget use is tight to 1e-6 relative (or
 zero if slack); a state keeps the allocation of the trials that set its
 multipliers, and the solve returns the states the ``mu`` search solved,
 so no allocation is evaluated twice.  A projected subgradient on ``mu``
-with step 1 / (P_t (10 + t)) runs only when a fixed iteration count is
-forced, as a reference path for convergence studies.
+with step 1 / (P_t (10 + t)) runs only when more than one iteration is
+asked for, as a reference path for convergence studies.
 
 With the winners of an eta trial fixed, a state's interference at primary
 j is G(e) = sum_k w_k [1 / (ln2 (b_k + e w_k / f_k)) - pcut_k]+, where b_k
@@ -663,22 +663,22 @@ def _dual_bound(ws: _Workspace, mu: float, eta: np.ndarray) -> float:
 
 
 def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None,
-               max_iterations: int = 500, run_all_iterations: bool = False) -> SolveResult:
+               iterations: int = 1) -> SolveResult:
     """Maximize average spectral efficiency over a batch of fading states.
 
     ``realizations`` may be a BatchRealizations; alternatively pass
     ``num_states`` to draw streams 0..num_states-1 of the scenario seed.
-    :func:`_warm_start_mu` settles mu, and its states are the solution:
-    one iteration, ``converged`` true.  ``run_all_iterations`` runs
-    ``max_iterations`` projected subgradient iterations from there (for
-    convergence studies); ``converged`` then says whether the last one has
-    |avg power - P_t| <= 1e-3 P_t, or slack power at mu = 0.
+    :func:`_warm_start_mu` settles mu, and its states are iteration 1 of
+    the solution, ``converged`` true.  Each further one of ``iterations``
+    is a projected subgradient step (for convergence studies); beyond 1,
+    ``converged`` says whether the last iterate has |avg power - P_t|
+    <= 1e-3 P_t, or slack power at mu = 0.
     """
     if cfg.total_power_w <= 0.0:
         raise ValueError("solve_dual needs total_power_w > 0; a zero budget "
                          "allocates nothing")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     if realizations is None:
         if num_states is None:
             raise ValueError("pass realizations or num_states")
@@ -692,7 +692,7 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
     warm_evaluated, warm_calls = ws.evaluated, ws.calls
     trace = {"iter": [], "mu": [], "primal_ase": [], "dual_value": [],
              "power_gap": []}
-    for t in range(1, (max_iterations if run_all_iterations else 1) + 1):
+    for t in range(1, iterations + 1):
         if t > 1:       # the projected subgradient step on iteration t - 1's gap
             mu = max(mu + gap / (p_t * (10.0 + (t - 1))), 0.0)
             solved = _solve_states(ws, mu, solved[4])
@@ -706,8 +706,8 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
         trace["primal_ase"].append(primal)
         trace["dual_value"].append(dual)
         trace["power_gap"].append(gap)
-    # the warm start settles mu; forced iterations are judged by the last one
-    converged = not run_all_iterations or abs(gap) <= tol_w or (mu == 0.0 and gap <= 0.0)
+    # the warm start settles mu; subgradient steps are judged by the last one
+    converged = iterations == 1 or abs(gap) <= tol_w or (mu == 0.0 and gap <= 0.0)
 
     dual_state = DualState(
         mu=mu, eta=eta, iterations=t, converged=converged,

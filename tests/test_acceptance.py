@@ -106,8 +106,7 @@ def test_criterion_03_power_boost_tail_growth():
 def test_criterion_04_convergence_speed():
     start = time.perf_counter()
     cfg = deterministic_benchmark(ber_target=1e-2)   # K=64, P_t=30 W, I_th=10 W
-    result = solve_dual(cfg, num_states=2000, max_iterations=500,
-                        run_all_iterations=True)
+    result = solve_dual(cfg, num_states=2000, iterations=500)
     elapsed = time.perf_counter() - start
     primal = result.dual.trace["primal_ase"]
     ratio = float(primal[14] / primal[-1])

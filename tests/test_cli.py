@@ -166,6 +166,29 @@ def test_run_writes_report_and_trace(config_file, tmp_path, capsys):
     assert len(trace_lines) >= 2
 
 
+def test_run_iterations_writes_one_trace_row_each(tmp_path, capsys):
+    out = tmp_path / "forced"
+    assert main(["run", "--preset", "deterministic", "--states", "60",
+                 "--iterations", "5", "--out", str(out)]) == 0
+    assert "  iterations 5  " in capsys.readouterr().out
+    trace_lines = (out / "trace.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in trace_lines[1:]] == ["1", "2", "3", "4", "5"]
+
+
+@pytest.mark.parametrize("power", ["30", "0"])
+def test_run_rejects_iterations_below_one(power, capsys):
+    assert main(["run", "--preset", "deterministic", "--set",
+                 "total_power_w=" + power, "--states", "20", "--iterations", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR 2:") and "iterations" in err
+
+
+def test_all_iterations_flag_is_gone():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--preset", "deterministic", "--all-iterations"])
+    assert excinfo.value.code == 2
+
+
 def test_run_artifacts_byte_identical(config_file, tmp_path):
     first, second = tmp_path / "a", tmp_path / "b"
     for out in (first, second):

@@ -177,6 +177,13 @@ def test_collision_mc_stderr_belongs_to_a_worst_state():
     worst, stderr = _worst_collisions(rates, samples)
     np.testing.assert_array_equal(worst, [0.1, 0.05])
     assert stderr == math.sqrt(0.1 * 0.9 / samples)
+    # a primary no audited state hits adds no 1/samples floor
+    worst, stderr = _worst_collisions(np.array([[0.0, 1e-4], [0.0, 0.0]]), samples)
+    np.testing.assert_array_equal(worst, [0.0, 1e-4])
+    assert stderr == math.sqrt(1e-4 * (1.0 - 1e-4) / samples)
+    worst, stderr = _worst_collisions(np.zeros((3, 2)), samples)
+    np.testing.assert_array_equal(worst, [0.0, 0.0])
+    assert stderr == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +456,7 @@ def test_artifacts_are_byte_identical(tmp_path):
 
 def test_trace_csv_layout(tmp_path):
     cfg = _cfg()
-    report = run_experiment(cfg, 60, max_iterations=5, run_all_iterations=True)
+    report = run_experiment(cfg, 60, iterations=5)
     path = tmp_path / "trace.csv"
     write_trace_csv(path, report.result.dual)
     lines = path.read_text().splitlines()
@@ -458,6 +465,8 @@ def test_trace_csv_layout(tmp_path):
     assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4, 5]
     mu_column = [float(line.split(",")[1]) for line in lines[1:]]
     assert mu_column == pytest.approx(list(report.result.dual.trace["mu"]))
+    write_trace_csv(path, None)         # no solve: the header alone
+    assert path.read_text() == TRACE_HEADER + "\n"
 
 
 def test_format_float_stability():

@@ -351,14 +351,13 @@ def test_solve_validation():
         solve_dual(_cfg(total_power_w=0.0), num_states=10)
     with pytest.raises(ValueError, match="realizations or num_states"):
         solve_dual(cfg)
-    with pytest.raises(ValueError, match="max_iterations"):
-        solve_dual(cfg, num_states=10, max_iterations=0)
+    with pytest.raises(ValueError, match="iterations"):
+        solve_dual(cfg, num_states=10, iterations=0)
 
 
 def test_trace_rows_and_weak_duality():
     cfg = _cfg()
-    result = solve_dual(cfg, num_states=80, max_iterations=12,
-                        run_all_iterations=True)
+    result = solve_dual(cfg, num_states=80, iterations=12)
     trace = result.dual.trace
     for key in ("iter", "mu", "primal_ase", "dual_value", "power_gap"):
         assert len(trace[key]) == 12
@@ -388,7 +387,7 @@ def test_nonconvergence_attaches_partial_result(monkeypatch):
         optimizer_module, "_warm_start_mu",
         lambda ws, tol: (50.0, optimizer_module._solve_states(
             ws, 50.0, np.zeros((ws.count, ws.cfg.num_primaries)))))
-    result = solve_dual(cfg, num_states=6, max_iterations=4, run_all_iterations=True)
+    result = solve_dual(cfg, num_states=6, iterations=4)
     assert not result.dual.converged
     trace = result.dual.trace
     assert len(trace["mu"]) == 4
@@ -1125,8 +1124,7 @@ def test_call_counters_over_the_ith_sweep(monkeypatch):
     for ith, more in ((1.0, 0), (2.0, 0), (5.0, 0), (10.0, 0), (20.0, 0), (10.0, 2)):
         calls.clear()
         dual = solve_dual(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
-                          num_states=60, max_iterations=1 + more if more else 500,
-                          run_all_iterations=more > 0).dual
+                          num_states=60, iterations=1 + more).dual
         assert dual.warm_start_calls == warm[-1] > 0
         assert dual.iteration_calls == len(calls) - warm[-1]
         assert dual.iteration_calls == dual.iteration_passes == more
