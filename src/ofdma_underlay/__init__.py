@@ -14,9 +14,9 @@ from .config import ScenarioConfig, load_config, uniform_gain_means
 from .errors import (ConfigError, ConvergenceError, InfeasibleError,
                      ModeError, ShapeError)
 from .harness import EvaluationReport, run_experiment, sweep
-from .interference import (audit_deterministic, audit_probabilistic,
-                           central_tail_approx, composite_chisq,
-                           surrogate_budget)
+from .interference import (audit_collisions, audit_deterministic,
+                           audit_probabilistic, central_tail_approx,
+                           composite_chisq, surrogate_budget)
 from .modulation import (ber_bound, ber_exact, ber_slope, discretize_rate,
                          max_constellation)
 from .optimizer import (DualState, PolicyBatch, SolveResult, assign_subcarriers,
@@ -39,8 +39,8 @@ __all__ = [
     "sinr_distribution",
     "ber_bound", "ber_exact", "ber_slope", "discretize_rate",
     "max_constellation",
-    "audit_deterministic", "audit_probabilistic", "central_tail_approx",
-    "composite_chisq", "surrogate_budget",
+    "audit_collisions", "audit_deterministic", "audit_probabilistic",
+    "central_tail_approx", "composite_chisq", "surrogate_budget",
     "DualState", "PolicyBatch", "SolveResult",
     "assign_subcarriers", "per_link_lagrangian", "selection_metric",
     "solve_dual", "waterfill_power",

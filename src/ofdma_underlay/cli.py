@@ -32,9 +32,9 @@ import numpy as np
 
 from .config import ScenarioConfig, apply_overrides, build_config, load_config
 from .errors import ConfigError, ConvergenceError, InfeasibleError
-from .harness import (SWEEP_AXES, _write_json, _write_text, format_float,
-                      run_experiment, sweep, write_sweep_csv, write_sweep_json,
-                      write_trace_csv)
+from .harness import (SWEEP_AXES, format_float, run_experiment, sweep,
+                      write_json, write_sweep_csv, write_sweep_json,
+                      write_text, write_trace_csv)
 from .presets import PRESETS, get_preset
 from .selftest import run_selftest
 from .sinr import sample_sinr_mc, sinr_distribution
@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("dist-table",
-                        help="tabulate the reference-SINR law of one link")
+                        help="tabulate one link's reference-SINR law (the "
+                             "solver's only under perfect CSI, deterministic mode)")
     _add_config_flags(p)
     p.add_argument("--user", type=int, default=0)
     p.add_argument("--subcarrier", type=int, default=0)
@@ -197,8 +198,8 @@ def _cmd_run(args) -> int:
         out = _out_dir(args.out)
         report_path = os.path.join(out, "report.json")
         trace_path = os.path.join(out, "trace.csv")
-        _write_json(report_path, {"config": cfg.to_mapping(),
-                                  "report": rep.to_mapping()})
+        write_json(report_path, {"config": cfg.to_mapping(),
+                                 "report": rep.to_mapping()})
         write_trace_csv(trace_path, rep.result.dual if rep.result else None)
         print("wrote %s and %s" % (report_path, trace_path))
     return 0
@@ -206,11 +207,10 @@ def _cmd_run(args) -> int:
 
 def _parse_values(text: str):
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ConfigError("--values must be comma-separated numbers, got %r"
                           % text)
-    return values
 
 
 def _cmd_sweep(args) -> int:
@@ -259,7 +259,7 @@ def _cmd_dist_table(args) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         path = os.path.join(_out_dir(args.out), "dist_table.csv")
-        _write_text(path, text)
+        write_text(path, text)
         print("wrote %s (%d points)" % (path, args.points))
     else:
         sys.stdout.write(text)

@@ -122,12 +122,10 @@ class ScenarioConfig:
         if self.primary_interference_w is not None and self.primary_interference_w < 0.0:
             raise ConfigError("primary_interference_w must be >= 0")
 
-        if self.rate_mode not in RATE_MODES:
-            raise ConfigError("rate_mode must be one of %s" % (RATE_MODES,))
-        if self.csi_mode not in CSI_MODES:
-            raise ConfigError("csi_mode must be one of %s" % (CSI_MODES,))
-        if self.constraint_mode not in CONSTRAINT_MODES:
-            raise ConfigError("constraint_mode must be one of %s" % (CONSTRAINT_MODES,))
+        for name, modes in (("rate_mode", RATE_MODES), ("csi_mode", CSI_MODES),
+                            ("constraint_mode", CONSTRAINT_MODES)):
+            if getattr(self, name) not in modes:
+                raise ConfigError("%s must be one of %s" % (name, modes))
         if self.constraint_mode == "probabilistic" and self.csi_mode != "imperfect":
             raise ConfigError("probabilistic interference control requires csi_mode=imperfect")
 
@@ -151,7 +149,7 @@ class ScenarioConfig:
             object.__setattr__(self, "direct_gain_policy", "explicit")
             means = self._broadcast("direct_gain_means", ("num_users", "num_subcarriers"))
             if np.any(means <= 0.0) or not np.all(np.isfinite(means)):
-                raise ConfigError("direct gain means must be positive and finite")
+                raise ConfigError("direct_gain_means must be positive and finite")
         means = means.copy()
         means.setflags(write=False)
         object.__setattr__(self, "direct_gain_means", means)

@@ -2,17 +2,11 @@
 
 An experiment draws a batch of fading states, solves the dual allocation,
 then audits what the allocation actually does to the primaries: realized
-interference with the true cross gains in every mode, plus per-state
-collision probabilities (a two-moment scaled chi-square fit of the
-weighted sum over the loaded subcarriers everywhere, posterior
-resampling on the states that fit ranks worst) when the constraint is
-probabilistic.  The resampling redraws only the loaded cross links: an
-unloaded one adds exactly 0 to the interference.  All audited states
-read one shared draw of standardized posterior errors (common random
-numbers), seeded by the config's ``rng_seed``: the j-th loaded link of
-every state uses sub-stream j.  So a state's resampled rates depend only
-on the seed, the sample count and its own loaded posterior, not on which
-other states are audited, and equal ``audit_probabilistic`` on that state.
+interference with the true cross gains in every mode and, when the
+constraint is probabilistic, the collision judgement of
+:func:`~ofdma_underlay.interference.audit_collisions`: a two-moment fit
+of every state's collision probability, and posterior resampling of the
+states the fit ranks worst.
 Sweeps rerun the experiment along one scenario axis, on one shared
 read-only draw unless the axis (the subcarrier count) changes the draw,
 and serialize rows to a fixed-header CSV with a JSON sidecar.  Each point
@@ -33,12 +27,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._special import gammaincc
-from .channel import posterior_stats, sample_realizations
+from .channel import sample_realizations
 from .config import ScenarioConfig, parse_value
 from .errors import ConfigError
-from .interference import (_shared_collisions, audit_deterministic,
-                           enforced_budgets, xi_means)
+from .interference import audit_collisions, audit_deterministic, enforced_budgets
 from .optimizer import SolveResult, solve_dual
 
 __all__ = [
@@ -51,6 +43,8 @@ __all__ = [
     "write_sweep_csv",
     "write_sweep_json",
     "write_trace_csv",
+    "write_json",
+    "write_text",
     "format_float",
 ]
 
@@ -138,74 +132,17 @@ def _report(cfg: ScenarioConfig, num_states: int, **measured) -> EvaluationRepor
         **measured)
 
 
-def _collision_analytic(cfg: ScenarioConfig, batch, power_sel: np.ndarray):
-    """Per-state, per-primary collision probability of the solved powers.
-
-    The interference given the estimate is sum_k lam_k chisq_2(delta_k)
-    with lam_k = P_k * v.  A two-moment (Satterthwaite) fit matches it to
-    scale * chisq_dof with mean sum lam (2 + delta) and variance
-    sum 4 lam^2 (1 + delta), so only the loaded subcarriers count.  The
-    fit is exact for one loaded subcarrier with a zero-mean posterior and
-    approximate otherwise.
-    """
-    post = posterior_stats(cfg, batch.cross_est)                    # (S, M, K)
-    delta = xi_means(post)
-    lam = power_sel[:, None, :] * post.variance                     # (S, M, K)
-    mean = np.sum(lam * (2.0 + delta), axis=2)                      # (S, M)
-    var = np.sum(4.0 * lam * lam * (1.0 + delta), axis=2)
-    limits = np.asarray(cfg.interference_limit_w)
-    out = np.zeros_like(mean)
-    live = var > 0.0
-    if np.any(live):
-        mean, var = mean[live], var[live]
-        scale = var / (2.0 * mean)
-        dof = 2.0 * mean * mean / var
-        threshold = np.broadcast_to(limits, out.shape)[live] / scale
-        out[live] = gammaincc(dof / 2.0, threshold / 2.0)
-    return out
-
-
-def _worst_collisions(prob: np.ndarray, samples: int):
-    """Each primary's worst (picks, M) rate, first in pick order, and the
-    largest stderr at those worst states (0 for a primary no state hits)."""
-    worst = prob[np.argmax(prob, axis=0), np.arange(prob.shape[1])]
-    stderr = np.sqrt(np.maximum(worst * (1.0 - worst), 1.0 / samples) / samples)
-    return worst, float(np.max(np.where(worst > 0.0, stderr, 0.0)))
-
-
-def _audit_collisions(report, cfg: ScenarioConfig, batch, picks, samples: int) -> None:
-    """Posterior-resampled collision rates of the ``picks``, on one shared draw.
-
-    Fills ``report.collision_mc_max`` and ``collision_mc_stderr`` and logs
-    one DEBUG record: audited states, the most links one of them loads,
-    the normals drawn and the seconds.
-    """
-    start = time.perf_counter()
-    power = report.result.policies.power[picks]
-    prob = _shared_collisions(cfg.rng_seed, samples,
-                              posterior_stats(cfg, batch.cross_est[picks]), power,
-                              cfg.interference_limit_w)
-    worst, report.collision_mc_stderr = _worst_collisions(prob, samples)
-    report.collision_mc_max = [float(x) for x in worst]
-    width = int(np.max(np.sum(power > 0.0, axis=1)))
-    _log.debug("collision audit: %d states, %d loaded links at most, %d normals, %.3f s",
-               len(picks), width, 2 * samples * cfg.num_primaries * width,
-               time.perf_counter() - start)
-
-
 def run_experiment(cfg: ScenarioConfig, num_states: int, *, iterations: int = 1,
                    audit_states: int = 32,
                    audit_samples: int = 20000) -> EvaluationReport:
     """Solve one scenario over ``num_states`` fading states and audit it.
 
     ``iterations`` goes to :func:`solve_dual` (1: the settled warm start).
-    Probabilistic runs resample the ``audit_states`` analytically worst
-    states from the posterior (0 skips that audit; the analytic column
-    stays), all on one shared draw of ``audit_samples`` redraws seeded by
-    ``cfg.rng_seed``: each audited state's rates equal
-    ``audit_probabilistic(power, post, cfg, audit_samples)`` on it.  Inside
-    a sweep the point reuses the sweep's draw of the states.  A zero power
-    budget short-circuits to an all-zero report.
+    Probabilistic runs judge collisions with one :func:`audit_collisions`
+    call on ``audit_states`` and ``audit_samples`` (0 states skips the
+    resampling; the analytic column stays).  Inside a sweep the point
+    reuses the sweep's draw of the states.  A zero power budget
+    short-circuits to an all-zero report.
     """
     if num_states < 1 or iterations < 1:
         raise ConfigError("num_states and iterations must be >= 1")
@@ -232,18 +169,21 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *, iterations: int = 1,
     limits = np.asarray(cfg.interference_limit_w)
     violation = np.mean(true_interf > limits * (1.0 + 1e-6), axis=0)
 
-    analytic = analytic_max = None
+    analytic = analytic_max = worst = stderr = None
     picks = ()
     if probabilistic:
-        analytic = _collision_analytic(cfg, batch, power_sel)
+        start = time.perf_counter()
+        analytic, picks, worst, stderr = audit_collisions(
+            cfg, batch.cross_est, power_sel, audit_states, audit_samples)
         analytic_max = [float(x) for x in np.max(analytic, axis=0)]
-        if audit_states > 0:
-            # audit the analytically worst states; the fit ranks states,
-            # it does not bound them
-            order = np.argsort(np.max(analytic, axis=1))[::-1]
-            picks = order[:min(audit_states, num_states)]
+        if len(picks):
+            width = int(np.max(np.sum(power_sel[picks] > 0.0, axis=1)))
+            _log.debug("collision audit: %d states, %d loaded links at most, "
+                       "%d normals, %.3f s", len(picks), width,
+                       2 * audit_samples * cfg.num_primaries * width,
+                       time.perf_counter() - start)
 
-    report = _report(
+    return _report(
         cfg, num_states, ase=result.ase, ase_stderr=result.ase_stderr,
         avg_power_w=result.avg_power_w,
         power_gap_w=result.avg_power_w - cfg.total_power_w,
@@ -255,11 +195,10 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *, iterations: int = 1,
         true_interference_mean=[float(x) for x in np.mean(true_interf, axis=0)],
         true_interference_max=[float(x) for x in np.max(true_interf, axis=0)],
         true_violation_rate=[float(x) for x in violation],
-        collision_analytic_max=analytic_max, audited_states=len(picks),
+        collision_analytic_max=analytic_max,
+        collision_mc_max=None if worst is None else [float(x) for x in worst],
+        collision_mc_stderr=stderr, audited_states=len(picks),
         result=result, collision_analytic=analytic)
-    if len(picks):
-        _audit_collisions(report, cfg, batch, picks, audit_samples)
-    return report
 
 
 def _axis_update(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
@@ -267,6 +206,9 @@ def _axis_update(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     if field_name not in SWEEP_AXES.values():
         raise ConfigError("unknown sweep axis %r (choices: %s)"
                           % (axis, ", ".join(sorted(SWEEP_AXES))))
+    if field_name == "collision_limit" and cfg.constraint_mode != "probabilistic":
+        raise ConfigError("sweep axis %r sets collision_limit, which %s mode never "
+                          "reads: every row would repeat" % (axis, cfg.constraint_mode))
     return cfg.with_updates(**{field_name: parse_value(field_name, value)})
 
 
@@ -275,11 +217,11 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
     """Run one experiment per axis value; rows keep the input order.
 
     Values must be sorted nondecreasing so the monotonicity diagnostics
-    (plateau flags, trend checks) read off the rows directly.  Each point
-    is solved and audited on one of ``threads`` workers, on the states
-    the sweep draws once (per point when the axis is the subcarrier
-    count); its collision audit is the lone run's, so every row equals
-    ``run_experiment`` on that point.
+    (plateau flags, trend checks) read off the rows directly; the
+    ``epsilon`` axis needs probabilistic control.  Each point is solved
+    and audited on one of ``threads`` workers, on the states the sweep
+    draws once (per point when the axis is the subcarrier count), so
+    every row equals ``run_experiment`` on that point.
     """
     values = list(values)
     if not values:
@@ -311,8 +253,7 @@ def plateau_flags(reports) -> list:
 def sweep_csv_rows(values, reports) -> list[str]:
     rows = [SWEEP_HEADER]
     for value, rep in zip(values, reports):
-        probabilistic = rep.constraint_mode == "probabilistic"
-        if probabilistic:
+        if rep.constraint_mode == "probabilistic":
             collision = max(rep.collision_analytic_max or [0.0])
             epsilon = min(rep.collision_limit)
         else:
@@ -326,23 +267,23 @@ def sweep_csv_rows(values, reports) -> list[str]:
     return rows
 
 
-def _write_text(path, text: str) -> None:
+def write_text(path, text: str) -> None:
     """Write an artifact as UTF-8 with the newlines as given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
-def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_json(path, payload) -> None:
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_sweep_csv(path, values, reports) -> None:
-    _write_text(path, "\n".join(sweep_csv_rows(values, reports)) + "\n")
+    write_text(path, "\n".join(sweep_csv_rows(values, reports)) + "\n")
 
 
 def write_sweep_json(path, cfg: ScenarioConfig, axis: str, values,
                      reports) -> None:
-    _write_json(path, {
+    write_json(path, {
         "config": cfg.to_mapping(),
         "axis": axis,
         "values": [float(v) for v in values],
@@ -358,4 +299,4 @@ def write_trace_csv(path, dual_state) -> None:
         columns = (dual_state.trace[name] for name in TRACE_HEADER.split(","))
         for it, *values in zip(*columns):
             lines.append(",".join(["%d" % it, *map(format_float, values)]))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

@@ -16,10 +16,10 @@ central chi-square with a stretched threshold, and the chance constraint
 
 with certainty-equivalent weights alpha_k = var * (2 + mu_xi_k).  The
 right-hand side, the collision budget, is what the allocator enforces
-per state; Monte Carlo resampling from the posterior validates it.  The
-resampling draws one seeded set of standardized posterior errors per
-audit and every audited state reads it (common random numbers): the
-j-th loaded link of any state uses sub-stream j, so a state's rates
+per state; :func:`audit_collisions` ranks a run's states by a two-moment
+fit of their collision rates and resamples the worst from the posterior,
+all on one seeded draw of standardized errors (common random numbers):
+the j-th loaded link of any state uses sub-stream j, so a state's rates
 depend only on the seed, the sample count and its own loaded posterior.
 The first term assumes the power is spread over all K subcarriers.  The cap
 I / ln(1/eps) is exact for all the power on one subcarrier with a
@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from ._special import gammaincc
-from .channel import PosteriorCrossStats
+from .channel import PosteriorCrossStats, posterior_stats
 from .config import ScenarioConfig
 from .errors import ShapeError
 from .sinr import gaussian_sum_params
@@ -50,6 +50,7 @@ __all__ = [
     "surrogate_budget",
     "enforced_budgets",
     "audit_probabilistic",
+    "audit_collisions",
 ]
 
 _AUDIT_TAG = 0xA0D17
@@ -226,6 +227,39 @@ def _shared_collisions(seed: int, samples: int, post: PosteriorCrossStats, power
     return hits / samples
 
 
+def _collision_analytic(post: PosteriorCrossStats, power: np.ndarray, limits):
+    """Per-state, per-primary collision probability of (S, K) powers under ``post``.
+
+    The interference given the estimate is sum_k lam_k chisq_2(delta_k)
+    with lam_k = P_k * v.  A two-moment (Satterthwaite) fit matches it to
+    scale * chisq_dof with mean sum lam (2 + delta) and variance
+    sum 4 lam^2 (1 + delta), so only the loaded subcarriers count.  The
+    fit is exact for one loaded subcarrier with a zero-mean posterior and
+    approximate otherwise.
+    """
+    delta = xi_means(post)
+    lam = power[:, None, :] * post.variance                         # (S, M, K)
+    mean = np.sum(lam * (2.0 + delta), axis=2)                      # (S, M)
+    var = np.sum(4.0 * lam * lam * (1.0 + delta), axis=2)
+    out = np.zeros_like(mean)
+    live = var > 0.0
+    if np.any(live):
+        mean, var = mean[live], var[live]
+        scale = var / (2.0 * mean)
+        dof = 2.0 * mean * mean / var
+        threshold = np.broadcast_to(np.asarray(limits), out.shape)[live] / scale
+        out[live] = gammaincc(dof / 2.0, threshold / 2.0)
+    return out
+
+
+def _worst_collisions(prob: np.ndarray, samples: int):
+    """Each primary's worst (picks, M) rate, first in pick order, and the
+    largest stderr at those worst states (0 for a primary no state hits)."""
+    worst = prob[np.argmax(prob, axis=0), np.arange(prob.shape[1])]
+    stderr = np.sqrt(np.maximum(worst * (1.0 - worst), 1.0 / samples) / samples)
+    return worst, float(np.max(np.where(worst > 0.0, stderr, 0.0)))
+
+
 def audit_probabilistic(power, post: PosteriorCrossStats, cfg: ScenarioConfig,
                         samples: int = 100_000, seed: int | None = None):
     """Monte Carlo exceedance probability of one state's power under the posterior.
@@ -236,10 +270,9 @@ def audit_probabilistic(power, post: PosteriorCrossStats, cfg: ScenarioConfig,
     adds exactly 0 to the interference, so it is not drawn), recomputes
     the received interference, and returns (prob, stderr): the (M,)
     fraction above each primary's limit and its binomial standard error.
-    This is :func:`_shared_collisions` for one state: the rates depend
-    only on ``seed`` (the config's ``rng_seed`` when None), ``samples``
-    and the posterior on the loaded links, and equal those the harness
-    audit reports for a state with that loaded posterior and seed.
+    This is :func:`_shared_collisions` for one state: the rates depend only
+    on ``seed`` (the config's ``rng_seed`` when None), ``samples`` and the
+    loaded posterior, and equal :func:`audit_collisions`' for such a state.
     """
     if samples < 10_000:
         raise ValueError("need >= 1e4 samples for a usable exceedance estimate")
@@ -252,3 +285,25 @@ def audit_probabilistic(power, post: PosteriorCrossStats, cfg: ScenarioConfig,
     prob = _shared_collisions(seed, samples, one, power[None],
                               cfg.interference_limit_w)[0]
     return prob, np.sqrt(prob * (1.0 - prob) / samples)
+
+
+def audit_collisions(cfg: ScenarioConfig, cross_est, power, states: int, samples: int):
+    """Collision judgement of (S, K) powers given (S, M, K) cross-link estimates.
+
+    Returns (analytic, picks, worst, stderr): the (S, M) two-moment fit, the
+    ``states`` states it ranks worst, and each primary's worst rate over the
+    picks with its stderr (:func:`_worst_collisions`; None and None without
+    picks).  The picks share one draw of ``samples`` redraws seeded by
+    ``cfg.rng_seed``, so a pick's rates equal ``audit_probabilistic`` on it.
+    """
+    post = posterior_stats(cfg, cross_est)                          # (S, M, K)
+    analytic = _collision_analytic(post, power, cfg.interference_limit_w)
+    # audit the analytically worst states; the fit ranks states, it does
+    # not bound them
+    picks = np.argsort(np.max(analytic, axis=1))[::-1][:states]
+    if not len(picks):
+        return analytic, picks, None, None
+    prob = _shared_collisions(cfg.rng_seed, samples,
+                              PosteriorCrossStats(post.mean[picks], post.variance),
+                              power[picks], cfg.interference_limit_w)
+    return (analytic, picks, *_worst_collisions(prob, samples))

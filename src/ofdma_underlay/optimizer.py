@@ -701,11 +701,8 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
         gap = avg_power - p_t
         primal = float(np.mean(np.sum(np.log1p(x_sel), axis=1))) / LN2
         dual = _dual_bound(ws, mu, eta)
-        trace["iter"].append(t)
-        trace["mu"].append(mu)
-        trace["primal_ase"].append(primal)
-        trace["dual_value"].append(dual)
-        trace["power_gap"].append(gap)
+        for key, value in zip(trace, (t, mu, primal, dual, gap)):
+            trace[key].append(value)
     # the warm start settles mu; subgradient steps are judged by the last one
     converged = iterations == 1 or abs(gap) <= tol_w or (mu == 0.0 and gap <= 0.0)
 

@@ -263,11 +263,22 @@ class SinrDistribution:
         return dens if dens.ndim else float(dens)
 
 
+def _check_link(cfg: ScenarioConfig, n: int, k: int, m: int) -> None:
+    """Raise ShapeError naming the first of (n, k, m) outside its range."""
+    for name, index, size in (("user", n, cfg.num_users),
+                              ("subcarrier", k, cfg.num_subcarriers),
+                              ("primary", m, cfg.num_primaries)):
+        if not 0 <= index < size:
+            raise ShapeError("%s %d outside 0..%d" % (name, index, size - 1))
+
+
 def sinr_distribution(cfg: ScenarioConfig, n: int, k: int, m: int) -> SinrDistribution:
-    """Closed-form reference-SINR law under the true-channel budget of primary m."""
-    if not (0 <= n < cfg.num_users and 0 <= k < cfg.num_subcarriers
-            and 0 <= m < cfg.num_primaries):
-        raise ShapeError("index out of range")
+    """Closed-form reference-SINR law of link (n, k) at primary m's limit.
+
+    The aggregate cross gain follows the true links' prior: the solver plans
+    with this law only under perfect CSI with deterministic control.
+    """
+    _check_link(cfg, n, k, m)
     agg_mean, agg_var = gaussian_sum_params(cfg.cross_mean, cfg.cross_var,
                                             cfg.num_subcarriers)
     return SinrDistribution(
@@ -291,9 +302,7 @@ def sample_sinr_mc(cfg: ScenarioConfig, n: int, k: int, m: int, count: int) -> n
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not (0 <= n < cfg.num_users and 0 <= k < cfg.num_subcarriers
-            and 0 <= m < cfg.num_primaries):
-        raise ShapeError("index out of range")
+    _check_link(cfg, n, k, m)
     rng = np.random.default_rng(
         np.random.SeedSequence((cfg.rng_seed, _MC_TAG, n, k, m)))
     kk = cfg.num_subcarriers

@@ -252,6 +252,26 @@ def test_sweep_rejects_non_integral_subcarrier_count(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_deterministic_epsilon_sweep_exits_two(tmp_path, capsys):
+    rc = main(["sweep", "--preset", "deterministic", "--axis", "epsilon",
+               "--values", "0.05,0.1", "--states", "20",
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR 2:") and "'epsilon'" in err and "deterministic mode" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_sweep_rejects_threads_below_one(threads, config_file, tmp_path, capsys):
+    rc = main(["sweep", "--config", config_file, "--axis", "ith",
+               "--values", "1,2", "--states", "20", "--threads", threads,
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == "ERROR 2: --threads must be >= 1\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_dist_table_stdout_columns(config_file, capsys):
     rc = main(["dist-table", "--config", config_file, "--points", "50"])
     assert rc == 0
@@ -294,6 +314,17 @@ def test_dist_table_validation(config_file, capsys):
         assert main(["dist-table", "--config", config_file, *bad]) == 2
     err = capsys.readouterr().err
     assert err.count("ERROR 2:") == 5
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--user", "9", "user 9 outside 0..2"),
+    ("--user", "-1", "user -1 outside 0..2"),
+    ("--subcarrier", "64", "subcarrier 64 outside 0..63"),
+    ("--primary", "1", "primary 1 outside 0..0"),
+])
+def test_dist_table_index_error_names_index_and_range(flag, value, message, capsys):
+    assert main(["dist-table", "--preset", "deterministic", flag, value]) == 2
+    assert capsys.readouterr().err == "ERROR 2: %s\n" % message
 
 
 def test_selftest_passes(capsys):

@@ -13,7 +13,7 @@ from ofdma_underlay.config import (CONSTRAINT_MODES, RATE_MODES, ScenarioConfig,
                                    uniform_gain_means)
 from ofdma_underlay.errors import ConfigError
 from ofdma_underlay.optimizer import solve_dual
-from ofdma_underlay.presets import deterministic_benchmark, imperfect_benchmark
+from ofdma_underlay.presets import deterministic_benchmark, get_preset, imperfect_benchmark
 
 
 def test_preset_shapes_and_broadcast():
@@ -272,3 +272,46 @@ def test_full_correlation_cannot_be_solved_under_probabilistic_control():
             check()
     imperfect_benchmark(correlation=1.0, constraint_mode="deterministic").check_solvable()
     imperfect_benchmark(correlation=0.99).check_solvable()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"num_users": 0}, "num_users"),
+    ({"num_primaries": 0}, "num_primaries"),
+    ({"num_subcarriers": 0}, "num_subcarriers"),
+    ({"bandwidth_hz": 0.0}, "bandwidth_hz"),
+    ({"primary_interference_w": -1.0}, "primary_interference_w"),
+    ({"rate_mode": "fractional"}, "rate_mode"),
+    ({"csi_mode": "oracle"}, "csi_mode"),
+    ({"constraint_mode": "strict"}, "constraint_mode"),
+    ({"cross_var": 0.0}, "cross_var"),
+    ({"error_var": -0.5}, "error_var"),
+    ({"correlation": 1.5}, "correlation"),
+    ({"correlation": -0.1}, "correlation"),
+    ({"error_var": 0.05}, "error_var"),                 # perfect CSI has no error
+    ({"direct_gain_means": 0.0}, "direct_gain_means"),
+    ({"direct_gain_means": math.inf}, "direct_gain_means"),
+])
+def test_invalid_scenario_field_is_rejected_by_name(overrides, key):
+    with pytest.raises(ConfigError, match=key):
+        deterministic_benchmark(**overrides)
+
+
+@pytest.mark.parametrize("text, overrides, match", [
+    ("num_users = 2\nrate_mode\n", None, "line 2: .*'rate_mode'"),
+    ("num_users = 2\nnum_users = 3\n", None, "line 2: duplicate key 'num_users'"),
+    ("num_users = 2\n", ["total_power_w"], "override 'total_power_w'"),
+    ("direct_gain_policy = explicit\n", None, "direct_gain_policy"),
+    ("direct_gain_policy = random\n", None, "direct_gain_policy"),
+], ids=["no-equals", "duplicate", "bare-override", "policy-without-matrix",
+        "unknown-policy"])
+def test_malformed_config_text_is_rejected_by_name(text, overrides, match, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        load_config(path, overrides)
+
+
+@pytest.mark.parametrize("name", ["nonsense", "Deterministic", ""])
+def test_unknown_preset_is_rejected_by_name(name):
+    with pytest.raises(ConfigError, match="unknown preset %r" % name):
+        get_preset(name)

@@ -1,5 +1,7 @@
-"""Every exported name resolves, and importing the package pulls in no SciPy."""
+"""Every exported name resolves, modules import no private names from each
+other, and importing the package pulls in no SciPy."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -32,3 +34,19 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_modules_import_no_private_names_from_each_other():
+    # another module's underscore name is its own business; the _special
+    # module itself is the package's shared numerics and may be imported
+    src = Path(ofdma_underlay.__file__).resolve().parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            inside = node.level > 0 or (node.module or "").startswith("ofdma_underlay")
+            for alias in node.names if inside else ():
+                if alias.name.startswith("_") and alias.name not in MODULES:
+                    offenders.append("%s: %s" % (path.name, alias.name))
+    assert offenders == []

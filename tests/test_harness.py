@@ -18,8 +18,6 @@ from ofdma_underlay.harness import (
     SWEEP_AXES,
     SWEEP_HEADER,
     TRACE_HEADER,
-    _collision_analytic,
-    _worst_collisions,
     format_float,
     plateau_flags,
     run_experiment,
@@ -29,8 +27,9 @@ from ofdma_underlay.harness import (
     write_sweep_json,
     write_trace_csv,
 )
-from ofdma_underlay.interference import (audit_deterministic, audit_probabilistic,
-                                         surrogate_budget)
+from ofdma_underlay.interference import (_collision_analytic, _worst_collisions,
+                                         audit_collisions, audit_deterministic,
+                                         audit_probabilistic, surrogate_budget)
 from ofdma_underlay.presets import imperfect_benchmark
 
 
@@ -153,7 +152,8 @@ def test_collision_analytic_single_zero_mean_carrier_is_exact():
     batch = SimpleNamespace(cross_est=np.zeros((1, 1, k), dtype=complex))
     power = np.zeros((1, k))
     power[0, 3] = 2.5
-    got = _collision_analytic(cfg, batch, power)
+    got = _collision_analytic(posterior_stats(cfg, batch.cross_est), power,
+                              cfg.interference_limit_w)
     expected = math.exp(-cfg.interference_limit_w[0]
                         / (2.0 * cfg.posterior_var * 2.5))
     assert got.shape == (1, 1)
@@ -164,7 +164,8 @@ def test_collision_analytic_tracks_posterior_resampling():
     cfg = imperfect_benchmark(num_users=1, num_subcarriers=8)
     batch = sample_realizations(cfg, range(1))
     power = np.array([[0.2, 0.1, 0.0, 0.4, 0.0, 0.3, 0.14, 0.0]])
-    analytic = _collision_analytic(cfg, batch, power)[0, 0]
+    analytic = _collision_analytic(posterior_stats(cfg, batch.cross_est), power,
+                                   cfg.interference_limit_w)[0, 0]
     post = posterior_stats(cfg, batch.cross_est[0])
     prob, stderr = audit_probabilistic(power[0], post, cfg, samples=100_000, seed=7)
     assert 0.05 < prob[0] < 0.5
@@ -198,6 +199,15 @@ def test_sweep_rejects_bad_values():
         sweep(cfg, "ith", [2.0, 1.0], 50)
     with pytest.raises(ConfigError, match="axis"):
         sweep(cfg, "bandwidth", [1.0], 50)
+
+
+@pytest.mark.parametrize("axis", ["epsilon", "collision_limit"])
+def test_epsilon_sweep_needs_probabilistic_control(axis):
+    # deterministic mode never reads collision_limit: every row would repeat
+    with pytest.raises(ConfigError, match="axis %r .* deterministic mode" % axis):
+        sweep(_cfg(), axis, [0.05, 0.1], 30)
+    with pytest.raises(ConfigError, match="deterministic mode"):
+        sweep(_small_imperfect(constraint_mode="deterministic"), axis, [0.05], 30)
 
 
 def test_single_value_sweep_equals_run_experiment():
@@ -385,6 +395,26 @@ def test_lone_audit_equals_audit_probabilistic():
                                   samples=20_000, seed=cfg.rng_seed)
     assert 0.0 < prob[0] < 1.0
     assert report.collision_mc_max == [float(x) for x in prob]
+
+
+def test_report_carries_audit_collisions_byte_for_byte():
+    cfg = _small_imperfect(num_primaries=2, interference_limit_w=(4.0, 6.0),
+                           collision_limit=(0.05, 0.2))
+    report = run_experiment(cfg, 60, **AUDIT)
+    batch = sample_realizations(cfg, range(60))
+    analytic, picks, worst, stderr = audit_collisions(
+        cfg, batch.cross_est, report.result.policies.power, AUDIT["audit_states"],
+        AUDIT["audit_samples"])
+    assert len(picks) == report.audited_states == 4
+    assert report.collision_analytic.tobytes() == analytic.tobytes()
+    assert np.array(report.collision_analytic_max).tobytes() == \
+        np.max(analytic, axis=0).tobytes()
+    assert np.array(report.collision_mc_max).tobytes() == worst.tobytes()
+    assert np.float64(report.collision_mc_stderr).tobytes() == np.float64(stderr).tobytes()
+    assert len(worst) == 2 and 0.0 < stderr
+    none = audit_collisions(cfg, batch.cross_est, report.result.policies.power, 0, 2000)
+    assert none[0].tobytes() == analytic.tobytes()
+    assert len(none[1]) == 0 and none[2:] == (None, None)
 
 
 def test_audit_logs_pairs_width_and_normals(caplog, monkeypatch):

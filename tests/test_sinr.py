@@ -274,6 +274,18 @@ def test_index_validation():
         sinr_distribution(cfg, 0, 0, 0).cdf(-1.0)
 
 
+@pytest.mark.parametrize("law", [sinr_distribution,
+                                 lambda cfg, n, k, m: sample_sinr_mc(cfg, n, k, m, 100)])
+@pytest.mark.parametrize("link, message", [
+    ((3, 0, 0), "^user 3 outside 0..2$"),
+    ((0, -1, 0), "^subcarrier -1 outside 0..63$"),
+    ((0, 0, 1), "^primary 1 outside 0..0$"),
+])
+def test_index_errors_name_the_index_and_its_range(law, link, message):
+    with pytest.raises(ShapeError, match=message):
+        law(deterministic_benchmark(), *link)
+
+
 def _full_branches(dist, gamma):
     """SinrDistribution._branches with erfcx and exp(-z^2) on every element."""
     mu, var, std, c = dist.agg_mean, dist.agg_var, math.sqrt(dist.agg_var), dist._cap_switch
