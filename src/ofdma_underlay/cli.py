@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import ScenarioConfig, apply_overrides, build_config, load_config
 from .errors import ConfigError, ConvergenceError, InfeasibleError
-from .harness import (SWEEP_AXES, format_float, run_experiment, sweep,
+from .harness import (SWEEP_AXES, format_row, run_experiment, sweep,
                       write_json, write_sweep_csv, write_sweep_json,
                       write_text, write_trace_csv)
 from .presets import PRESETS, get_preset
@@ -153,19 +153,20 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _report_lines(cfg: ScenarioConfig, rep) -> list:
+def _report_lines(rep) -> list:
     lines = [
         "scenario %s  csi=%s constraint=%s rate=%s" % (
             rep.fingerprint, rep.csi_mode, rep.constraint_mode, rep.rate_mode),
         "states %d  users %d  primaries %d  subcarriers %d" % (
-            rep.num_states, cfg.num_users, cfg.num_primaries, cfg.num_subcarriers),
+            rep.num_states, rep.cfg.num_users, rep.cfg.num_primaries,
+            rep.cfg.num_subcarriers),
         "ase %.6g +/- %.2g bits/s/Hz" % (rep.ase, rep.ase_stderr),
         "avg power %.6g W of %.6g W (gap %.3g W)" % (
             rep.avg_power_w, rep.total_power_w, rep.power_gap_w),
         "mu %.6g  iterations %d  converged %s" % (
             rep.mu, rep.iterations, rep.converged),
     ]
-    for j in range(cfg.num_primaries):
+    for j in range(rep.cfg.num_primaries):
         lines.append(
             "primary %d: budget %.6g W, enforced max %.6g W, "
             "true max %.6g W, violation rate %.3g" % (
@@ -192,7 +193,7 @@ def _cmd_run(args) -> int:
     rep = run_experiment(cfg, args.states, iterations=args.iterations,
                          audit_states=args.audit_states,
                          audit_samples=args.audit_samples)
-    for line in _report_lines(cfg, rep):
+    for line in _report_lines(rep):
         print(line)
     if args.out:
         out = _out_dir(args.out)
@@ -253,9 +254,7 @@ def _cmd_dist_table(args) -> int:
         draws = sample_sinr_mc(cfg, n, k, m, args.mc_samples)
         table.append(np.searchsorted(draws, grid, side="right") / draws.size)
         columns.append("cdf_mc")
-    lines = [",".join(columns)]
-    for i in range(args.points):
-        lines.append(",".join(format_float(col[i]) for col in table))
+    lines = [",".join(columns), *map(format_row, zip(*table))]
     text = "\n".join(lines) + "\n"
     if args.out:
         path = os.path.join(_out_dir(args.out), "dist_table.csv")

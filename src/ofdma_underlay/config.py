@@ -87,11 +87,10 @@ class ScenarioConfig:
         for f in dataclasses.fields(self):         # the lists go through _broadcast
             if f.init and _CASTERS[f.name] is not _float_list:
                 object.__setattr__(self, f.name, parse_value(f.name, getattr(self, f.name)))
-        if self.num_users < 1 or self.num_primaries < 1 or self.num_subcarriers < 1:
-            raise ConfigError("num_users, num_primaries and num_subcarriers must be >= 1")
-        for name in ("rng_seed", "direct_gain_seed"):     # numpy seeds are >= 0
-            if getattr(self, name) < 0:
-                raise ConfigError("%s must be >= 0, got %d" % (name, getattr(self, name)))
+        for name, low in (("num_users", 1), ("num_primaries", 1), ("num_subcarriers", 1),
+                          ("rng_seed", 0), ("direct_gain_seed", 0)):   # numpy seeds are >= 0
+            if getattr(self, name) < low:
+                raise ConfigError("%s must be >= %d, got %d" % (name, low, getattr(self, name)))
         if not math.isfinite(self.total_power_w) or self.total_power_w < 0.0:
             raise ConfigError("total_power_w must be finite and >= 0")
         finite = {name: getattr(self, name) for name in

@@ -1,23 +1,23 @@
 """Monte Carlo evaluation harness: experiments, audits, sweeps, artifacts.
 
-An experiment draws a batch of fading states, solves the dual allocation,
-then audits what the allocation actually does to the primaries: realized
+This module alone draws a run's fading states.  An experiment solves the
+dual allocation on the batch it is given, or on its own draw, then audits
+what the allocation actually does to the primaries: realized
 interference with the true cross gains in every mode and, when the
 constraint is probabilistic, the collision judgement of
 :func:`~ofdma_underlay.interference.audit_collisions`: a two-moment fit
 of every state's collision probability, and posterior resampling of the
 states the fit ranks worst.
-Sweeps rerun the experiment along one scenario axis, on one shared
-read-only draw unless the axis (the subcarrier count) changes the draw,
-and serialize rows to a fixed-header CSV with a JSON sidecar.  Each point
-is solved and audited on its sweep worker, so every row equals the lone
-experiment.  All artifacts are deterministic for a given config and
-seed: stable float formatting, sorted keys, no timestamps.
+Sweeps rerun the experiment along one scenario axis, handing each point
+one shared read-only draw unless the axis (the subcarrier count) changes
+the draw, and serialize rows to a fixed-header CSV with a JSON sidecar.
+Each point is solved and audited on its sweep worker, so every row
+equals the lone experiment.  All artifacts are deterministic for a given
+config and seed: one float and row format, sorted keys, no timestamps.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import json
 import logging
@@ -46,6 +46,7 @@ __all__ = [
     "write_json",
     "write_text",
     "format_float",
+    "format_row",
 ]
 
 SWEEP_AXES = {
@@ -64,10 +65,6 @@ _PLATEAU_GAIN = 0.01    # a sweep row gaining less ASE than this share of the la
 
 _log = logging.getLogger(__name__)
 
-# the draw a sweep shares with the run_experiment call of each point
-# (None when each point draws its own)
-_sweep_point = contextvars.ContextVar("sweep_point", default=None)
-
 
 def format_float(value) -> str:
     """Stable float formatting for artifacts ('' for None)."""
@@ -76,14 +73,20 @@ def format_float(value) -> str:
     return "%.12g" % float(value)
 
 
+def format_row(values) -> str:
+    """One CSV row of ``values``, each through :func:`format_float`."""
+    return ",".join(map(format_float, values))
+
+
 @dataclass
 class EvaluationReport:
     """Summary of one experiment; arrays live on ``result``, not in JSON.
 
-    ``fingerprint`` hashes ``result.cfg`` on first read: only the JSON
-    artifacts and the CLI summary show it.
+    ``fingerprint`` hashes ``cfg``, which JSON leaves out, on first read:
+    only the JSON artifacts and the CLI summary show it.
     """
 
+    cfg: ScenarioConfig = field(repr=False)
     csi_mode: str
     constraint_mode: str
     rate_mode: str
@@ -113,18 +116,18 @@ class EvaluationReport:
 
     @functools.cached_property
     def fingerprint(self) -> str:
-        return self.result.cfg.fingerprint()
+        return self.cfg.fingerprint()
 
     def to_mapping(self) -> dict:
         return {"fingerprint": self.fingerprint,
                 **{f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name not in ("result", "collision_analytic")}}
+                   if f.name not in ("cfg", "result", "collision_analytic")}}
 
 
 def _report(cfg: ScenarioConfig, num_states: int, **measured) -> EvaluationReport:
     """A report of ``cfg``'s scenario fields, plus the ``measured`` ones."""
     return EvaluationReport(
-        csi_mode=cfg.csi_mode,
+        cfg=cfg, csi_mode=cfg.csi_mode,
         constraint_mode=cfg.constraint_mode, rate_mode=cfg.rate_mode,
         num_states=num_states, total_power_w=cfg.total_power_w,
         interference_limit_w=list(cfg.interference_limit_w),
@@ -132,36 +135,38 @@ def _report(cfg: ScenarioConfig, num_states: int, **measured) -> EvaluationRepor
         **measured)
 
 
-def run_experiment(cfg: ScenarioConfig, num_states: int, *, iterations: int = 1,
-                   audit_states: int = 32,
+def run_experiment(cfg: ScenarioConfig, num_states: int, *, realizations=None,
+                   iterations: int = 1, audit_states: int = 32,
                    audit_samples: int = 20000) -> EvaluationReport:
     """Solve one scenario over ``num_states`` fading states and audit it.
 
-    ``iterations`` goes to :func:`solve_dual` (1: the settled warm start).
-    Probabilistic runs judge collisions with one :func:`audit_collisions`
-    call on ``audit_states`` and ``audit_samples`` (0 states skips the
-    resampling; the analytic column stays).  Inside a sweep the point
-    reuses the sweep's draw of the states.  A zero power budget
+    ``realizations`` is a batch of ``num_states`` states to evaluate; None
+    draws streams 0..num_states-1 of the scenario seed.  ``iterations``
+    goes to :func:`solve_dual` (1: the settled warm start).  Probabilistic
+    runs judge collisions with one :func:`audit_collisions` call on
+    ``audit_states`` and ``audit_samples`` (0 states skips the
+    resampling; the analytic column stays).  A zero power budget
     short-circuits to an all-zero report.
     """
     if num_states < 1 or iterations < 1:
         raise ConfigError("num_states and iterations must be >= 1")
     if audit_states < 0 or audit_samples < 1:
         raise ConfigError("audit_states must be >= 0 and audit_samples >= 1")
+    if realizations is not None and len(realizations) != num_states:
+        raise ConfigError("realizations hold %d states, but num_states is %d"
+                          % (len(realizations), num_states))
     probabilistic = cfg.constraint_mode == "probabilistic"
     if cfg.total_power_w == 0.0:
         zeros = [0.0] * cfg.num_primaries
-        report = _report(
+        return _report(
             cfg, num_states, ase=0.0, ase_stderr=0.0, avg_power_w=0.0,
             power_gap_w=0.0, mu=0.0, iterations=0, converged=True,
             budgets_w=[float(b) for b in enforced_budgets(cfg)],
             enforced_interference_max=zeros, true_interference_mean=zeros,
             true_interference_max=zeros, true_violation_rate=zeros,
             collision_analytic_max=zeros if probabilistic else None)
-        report.fingerprint = cfg.fingerprint()      # no solve holds the config here
-        return report
 
-    batch = _sweep_point.get() or sample_realizations(cfg, range(num_states))
+    batch = realizations or sample_realizations(cfg, range(num_states))
     result = solve_dual(cfg, batch, iterations=iterations)
     power_sel = result.policies.power                               # (S, K)
 
@@ -219,10 +224,12 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
     Values must be sorted nondecreasing so the monotonicity diagnostics
     (plateau flags, trend checks) read off the rows directly; the
     ``epsilon`` axis needs probabilistic control.  Each point is solved
-    and audited on one of ``threads`` workers, on the states the sweep
-    draws once (per point when the axis is the subcarrier count), so
-    every row equals ``run_experiment`` on that point.
+    and audited on one of ``threads`` (>= 1) workers by ``run_experiment``
+    on the states the sweep draws once (per point when the axis is the
+    subcarrier count), so every row equals the lone run of that point.
     """
+    if threads < 1:
+        raise ConfigError("threads must be >= 1, got %d" % threads)
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one axis value")
@@ -232,12 +239,10 @@ def sweep(cfg: ScenarioConfig, axis: str, values, num_states: int, *,
     shared = (None if SWEEP_AXES.get(axis, axis) == "num_subcarriers"
               else sample_realizations(configs[0], range(num_states)))
 
-    def job(c):
-        context = contextvars.copy_context()
-        context.run(_sweep_point.set, shared)
-        return context.run(run_experiment, c, num_states, **experiment_kwargs)
+    def job(c):     # looks run_experiment up when it runs, so wrappers see each point
+        return run_experiment(c, num_states, realizations=shared, **experiment_kwargs)
 
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list((pool.map if threads > 1 else map)(job, configs))
 
 
@@ -259,11 +264,9 @@ def sweep_csv_rows(values, reports) -> list[str]:
         else:
             collision = max(rep.true_violation_rate or [0.0])
             epsilon = None
-        rows.append(",".join([
-            format_float(value), format_float(rep.ase),
-            format_float(rep.ase_stderr), format_float(rep.avg_power_w),
-            format_float(max(rep.true_interference_max or [0.0])),
-            format_float(collision), format_float(epsilon)]))
+        rows.append(format_row([
+            value, rep.ase, rep.ase_stderr, rep.avg_power_w,
+            max(rep.true_interference_max or [0.0]), collision, epsilon]))
     return rows
 
 
@@ -297,6 +300,5 @@ def write_trace_csv(path, dual_state) -> None:
     lines = [TRACE_HEADER]
     if dual_state is not None:      # the header names the trace's columns in order
         columns = (dual_state.trace[name] for name in TRACE_HEADER.split(","))
-        for it, *values in zip(*columns):
-            lines.append(",".join(["%d" % it, *map(format_float, values)]))
+        lines.extend(map(format_row, zip(*columns)))
     write_text(path, "\n".join(lines) + "\n")

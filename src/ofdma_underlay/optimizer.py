@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BatchRealizations, posterior_stats, sample_realizations
+from .channel import BatchRealizations, posterior_stats
 from .config import ScenarioConfig
 from .errors import ConvergenceError, InfeasibleError, ShapeError
 from .interference import alpha_weights, enforced_budgets, posterior_aggregate_params
@@ -662,12 +662,12 @@ def _dual_bound(ws: _Workspace, mu: float, eta: np.ndarray) -> float:
 # public entry points
 
 
-def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None,
+def solve_dual(cfg: ScenarioConfig, realizations: BatchRealizations, *,
                iterations: int = 1) -> SolveResult:
     """Maximize average spectral efficiency over a batch of fading states.
 
-    ``realizations`` may be a BatchRealizations; alternatively pass
-    ``num_states`` to draw streams 0..num_states-1 of the scenario seed.
+    ``realizations`` is the drawn batch to solve (the harness draws it;
+    see :func:`~ofdma_underlay.channel.sample_realizations`).
     :func:`_warm_start_mu` settles mu, and its states are iteration 1 of
     the solution, ``converged`` true.  Each further one of ``iterations``
     is a projected subgradient step (for convergence studies); beyond 1,
@@ -679,10 +679,6 @@ def solve_dual(cfg: ScenarioConfig, realizations=None, *, num_states: int = None
                          "allocates nothing")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if realizations is None:
-        if num_states is None:
-            raise ValueError("pass realizations or num_states")
-        realizations = sample_realizations(cfg, range(num_states))
     ws = _Workspace(cfg, realizations)
     s = ws.count
     p_t = cfg.total_power_w

@@ -106,7 +106,7 @@ def test_criterion_03_power_boost_tail_growth():
 def test_criterion_04_convergence_speed():
     start = time.perf_counter()
     cfg = deterministic_benchmark(ber_target=1e-2)   # K=64, P_t=30 W, I_th=10 W
-    result = solve_dual(cfg, num_states=2000, iterations=500)
+    result = solve_dual(cfg, sample_realizations(cfg, range(2000)), iterations=500)
     elapsed = time.perf_counter() - start
     primal = result.dual.trace["primal_ase"]
     ratio = float(primal[14] / primal[-1])
@@ -149,7 +149,7 @@ def _random_scenarios(count: int):
 def test_criterion_05_feasibility_and_kkt():
     worst_power = worst_interf = 0.0
     for cfg in _random_scenarios(20):
-        result = solve_dual(cfg, num_states=60)
+        result = solve_dual(cfg, sample_realizations(cfg, range(60)))
         worst_power = max(worst_power, result.avg_power_w / cfg.total_power_w)
         assert result.avg_power_w <= cfg.total_power_w * 1.001
         rel = result.enforced_interference / result.budgets_w
@@ -190,7 +190,7 @@ def test_criterion_05_feasibility_and_kkt():
 
 def test_criterion_06_ber_target_safety():
     cfg = deterministic_benchmark(rate_mode="discrete")
-    result = solve_dual(cfg, num_states=10_000)
+    result = solve_dual(cfg, sample_realizations(cfg, range(10_000)))
     slope = ber_slope(cfg.ber_target)
     bits = result.policies.bits
     active = bits >= 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ofdma_underlay.channel import sample_realizations
 from ofdma_underlay.config import (CONSTRAINT_MODES, RATE_MODES, ScenarioConfig,
                                    apply_overrides, build_config, load_config,
                                    uniform_gain_means)
@@ -256,6 +257,12 @@ def test_key_value_view_and_mapping_rebuild_the_scenario(cfg):
         assert rebuilt.fingerprint() == cfg.fingerprint()
 
 
+@pytest.mark.parametrize("key", ["num_users", "num_primaries", "num_subcarriers"])
+def test_zero_count_is_rejected_by_name(key):
+    with pytest.raises(ConfigError, match=r"^%s must be >= 1, got 0$" % key):
+        ScenarioConfig(**{key: 0})
+
+
 @pytest.mark.parametrize("key", ["rng_seed", "direct_gain_seed"])
 def test_negative_seed_is_rejected_by_name(key):
     with pytest.raises(ConfigError, match=r"^%s must be >= 0, got -1$" % key):
@@ -267,7 +274,8 @@ def test_full_correlation_cannot_be_solved_under_probabilistic_control():
     # the posterior variance (1 - rho^2) error_var is 0: no noncentrality
     cfg = imperfect_benchmark(correlation=1.0)
     assert cfg.posterior_var == 0.0
-    for check in (cfg.check_solvable, lambda: solve_dual(cfg, num_states=4)):
+    batch = sample_realizations(cfg, range(4))
+    for check in (cfg.check_solvable, lambda: solve_dual(cfg, batch)):
         with pytest.raises(ConfigError, match="^correlation = 1.0 leaves no posterior variance"):
             check()
     imperfect_benchmark(correlation=1.0, constraint_mode="deterministic").check_solvable()

@@ -108,6 +108,31 @@ def test_report_summarizes_solved_batch():
     assert report.true_violation_rate == [0.0]
 
 
+@pytest.mark.parametrize("cfg", [_cfg(), _small_imperfect(num_subcarriers=16)],
+                         ids=["deterministic", "probabilistic"])
+def test_given_draw_equals_own_draw(cfg):
+    given = run_experiment(cfg, 40, realizations=sample_realizations(cfg, range(40)),
+                           audit_states=2, audit_samples=1000)
+    own = run_experiment(cfg, 40, audit_states=2, audit_samples=1000)
+    assert json.dumps(given.to_mapping()) == json.dumps(own.to_mapping())
+    assert given.result.policies.power.tobytes() == own.result.policies.power.tobytes()
+
+
+def test_given_draw_must_hold_num_states():
+    cfg = _cfg()
+    batch = sample_realizations(cfg, range(30))
+    with pytest.raises(ConfigError, match=r"\b30\b.*\b10\b"):
+        run_experiment(cfg, 10, realizations=batch)
+
+
+def test_zero_power_report_keeps_its_scenario():
+    cfg = _cfg(total_power_w=0.0)
+    report = run_experiment(cfg, 50)
+    assert report.cfg is cfg
+    assert report.fingerprint == cfg.fingerprint()
+    assert "cfg" not in report.to_mapping()
+
+
 def test_experiment_rejects_empty_batch():
     with pytest.raises(ConfigError):
         run_experiment(_cfg(), 0)
@@ -199,6 +224,12 @@ def test_sweep_rejects_bad_values():
         sweep(cfg, "ith", [2.0, 1.0], 50)
     with pytest.raises(ConfigError, match="axis"):
         sweep(cfg, "bandwidth", [1.0], 50)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_sweep_rejects_threads_below_one(threads):
+    with pytest.raises(ConfigError, match=r"^threads must be >= 1, got %d$" % threads):
+        sweep(_cfg(), "ith", [1.0, 2.0], 10, threads=threads)
 
 
 @pytest.mark.parametrize("axis", ["epsilon", "collision_limit"])

@@ -37,6 +37,11 @@ def _cfg(**overrides):
     return build_config(base)
 
 
+def _solve(cfg, states, **kwargs):
+    """solve_dual on streams 0..states-1 of the scenario seed."""
+    return solve_dual(cfg, sample_realizations(cfg, range(states)), **kwargs)
+
+
 def _link_arrays(cfg, batch, result):
     """Per-candidate (gamma, density, weight) grids at the solved reference power."""
     s, n, k = len(batch), cfg.num_users, cfg.num_subcarriers
@@ -297,7 +302,7 @@ def test_single_channel_matches_grid_oracle():
 def test_infinite_power_budget_slackness():
     # P_t -> inf: power multiplier at zero, interference budgets tight
     cfg = _cfg(total_power_w=1e6, interference_limit_w="0.5")
-    result = solve_dual(cfg, num_states=300)
+    result = _solve(cfg, 300)
     assert result.dual.converged
     assert result.dual.mu == 0.0
     transmitting = result.policies.power.sum(axis=1) > 0.0
@@ -336,8 +341,8 @@ def test_discrete_rate_floors_continuous_solve():
 
 def test_solve_is_deterministic():
     cfg = _cfg()
-    first = solve_dual(cfg, num_states=50)
-    second = solve_dual(cfg, num_states=50)
+    first = _solve(cfg, 50)
+    second = _solve(cfg, 50)
     explicit = solve_dual(cfg, sample_realizations(cfg, range(50)))
     assert first.ase == second.ase == explicit.ase
     assert np.array_equal(first.policies.user, explicit.policies.user)
@@ -348,16 +353,14 @@ def test_solve_is_deterministic():
 def test_solve_validation():
     cfg = _cfg()
     with pytest.raises(ValueError, match="total_power_w"):
-        solve_dual(_cfg(total_power_w=0.0), num_states=10)
-    with pytest.raises(ValueError, match="realizations or num_states"):
-        solve_dual(cfg)
+        _solve(_cfg(total_power_w=0.0), 10)
     with pytest.raises(ValueError, match="iterations"):
-        solve_dual(cfg, num_states=10, iterations=0)
+        _solve(cfg, 10, iterations=0)
 
 
 def test_trace_rows_and_weak_duality():
     cfg = _cfg()
-    result = solve_dual(cfg, num_states=80, iterations=12)
+    result = _solve(cfg, 80, iterations=12)
     trace = result.dual.trace
     for key in ("iter", "mu", "primal_ase", "dual_value", "power_gap"):
         assert len(trace[key]) == 12
@@ -369,7 +372,7 @@ def test_trace_rows_and_weak_duality():
 
 def test_probabilistic_budget_is_collision_surrogate():
     cfg = imperfect_benchmark()
-    result = solve_dual(cfg, num_states=30)
+    result = _solve(cfg, 30)
     expected = surrogate_budget(cfg.interference_limit_w[0],
                                 cfg.collision_limit[0], cfg.num_subcarriers)
     assert result.budgets_w[0] == pytest.approx(expected, rel=1e-12)
@@ -387,7 +390,7 @@ def test_nonconvergence_attaches_partial_result(monkeypatch):
         optimizer_module, "_warm_start_mu",
         lambda ws, tol: (50.0, optimizer_module._solve_states(
             ws, 50.0, np.zeros((ws.count, ws.cfg.num_primaries)))))
-    result = solve_dual(cfg, num_states=6, iterations=4)
+    result = _solve(cfg, 6, iterations=4)
     assert not result.dual.converged
     trace = result.dual.trace
     assert len(trace["mu"]) == 4
@@ -522,7 +525,7 @@ def test_cold_start_and_carried_hint_agree():
 
 def test_full_passes_at_a_binding_cap():
     cfg = deterministic_benchmark(rng_seed=6, interference_limit_w=(2.0,))
-    result = solve_dual(cfg, num_states=60)
+    result = _solve(cfg, 60)
     dual = result.dual
     assert dual.iterations == 1
     # exponential bracketing plus bisection spends 358 + 34 = 392 here
@@ -536,7 +539,7 @@ def _binding_m2():
 
 
 def test_full_passes_with_two_binding_primaries():
-    dual = solve_dual(_binding_m2(), num_states=60).dual
+    dual = _solve(_binding_m2(), 60).dual
     assert np.all(dual.eta > 0.0)           # every state binds both primaries
     # a closing pass after each cyclic sweep spent 168.40 here
     assert dual.warm_start_passes + dual.iteration_passes <= 158.40
@@ -651,7 +654,7 @@ def _wide_m2(**overrides):
 ], ids=["deterministic", "wide-m2"])
 def test_power_above_target_skips_the_mu_zero_probe(cfg, states):
     # probing mu = 0 first, the search spends 14.45 and 26.55 passes here
-    dual = solve_dual(cfg, num_states=states).dual
+    dual = _solve(cfg, states).dual
     assert dual.mu > 0.0 and not np.any(dual.eta > 0.0)
     assert dual.warm_start_passes <= 8.0
 
@@ -726,11 +729,11 @@ def test_solve_leaves_no_reference_cycles():
                 deterministic_benchmark(),
                 deterministic_benchmark(noise_psd_dbm_hz=10.0, interference_limit_w=(0.05,),
                                         total_power_w=100.0)):
-        solve_dual(cfg, num_states=20)
+        _solve(cfg, 20)
         gc.collect()
         gc.disable()
         try:
-            solve_dual(cfg, num_states=20)
+            _solve(cfg, 20)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -745,8 +748,8 @@ def test_work_counters_over_the_ith_sweep(monkeypatch):
                         lambda *args: calls.append(1) or kernel(*args))
     passes = {}
     for ith in (1.0, 2.0, 5.0, 10.0, 20.0):
-        dual = solve_dual(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
-                          num_states=60).dual
+        dual = _solve(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
+                     60).dual
         passes[ith] = dual.warm_start_passes + dual.iteration_passes
     assert sum(passes.values()) <= 135.0
     assert len(calls) <= 222
@@ -821,7 +824,7 @@ def test_solve_keeps_the_feasible_end_of_a_power_jump():
     # window: the solve keeps the feasible end
     cfg = deterministic_benchmark(num_subcarriers=2, num_users=2,
                                   interference_limit_w=(2.762,), rng_seed=112)
-    result = solve_dual(cfg, num_states=30)
+    result = _solve(cfg, 30)
     assert result.avg_power_w <= cfg.total_power_w
     assert result.dual.converged
     assert result.dual.iterations == 1 and result.dual.iteration_calls == 0
@@ -879,7 +882,7 @@ def test_single_subcarrier_solves_in_few_calls():
     for seed in range(1, 6):
         cfg = deterministic_benchmark(rng_seed=seed, num_subcarriers=1,
                                       interference_limit_w=(0.3,))
-        dual = solve_dual(cfg, num_states=60).dual
+        dual = _solve(cfg, 60).dual
         assert dual.warm_start_calls + dual.iteration_calls <= 10
 
 
@@ -890,7 +893,7 @@ def test_zero_cross_gain_solves_at_every_correlation():
     for rho in (0.0, 0.5, 0.9):
         cfg = deterministic_benchmark(csi_mode="imperfect", error_var=0.1,
                                       cross_mean=0j, correlation=rho)
-        ases.append(solve_dual(cfg, num_states=50).ase)
+        ases.append(_solve(cfg, 50).ase)
     assert ases == pytest.approx([ases[0]] * 3, rel=1e-9, abs=0.0)
 
 
@@ -937,8 +940,8 @@ def test_binding_points_skip_the_mu_zero_probe(monkeypatch):
                         lambda ws, mu, *rest: mus.append(mu) or solve_states(ws, mu, *rest))
     for ith in (1.0, 2.0, 5.0):
         mus.clear()
-        result = solve_dual(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
-                            num_states=60)
+        result = _solve(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
+                       60)
         assert np.any(result.dual.eta > 0.0) and result.dual.mu > 0.0
         assert 0.0 not in mus
 
@@ -952,8 +955,8 @@ def test_model_steps_over_the_ith_sweep(monkeypatch):
                         lambda *args: calls.append(1) or kernel(*args))
     passes = 0.0
     for ith in (1.0, 2.0, 5.0, 10.0, 20.0):
-        dual = solve_dual(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
-                          num_states=60).dual
+        dual = _solve(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
+                     60).dual
         passes += dual.warm_start_passes + dual.iteration_passes
     assert passes <= 85.0
     assert len(calls) <= 110
@@ -961,7 +964,7 @@ def test_model_steps_over_the_ith_sweep(monkeypatch):
 
 def test_model_steps_with_two_binding_primaries():
     # stepping along the line through the last two trials spent 81.93 here
-    dual = solve_dual(_binding_m2(), num_states=60).dual
+    dual = _solve(_binding_m2(), 60).dual
     assert np.all(dual.eta > 0.0)
     assert dual.warm_start_passes + dual.iteration_passes <= 55.0
 
@@ -1123,8 +1126,8 @@ def test_call_counters_over_the_ith_sweep(monkeypatch):
     # the last solve forces two more iterations, one slack pass each
     for ith, more in ((1.0, 0), (2.0, 0), (5.0, 0), (10.0, 0), (20.0, 0), (10.0, 2)):
         calls.clear()
-        dual = solve_dual(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
-                          num_states=60, iterations=1 + more).dual
+        dual = _solve(deterministic_benchmark(rng_seed=6, interference_limit_w=(ith,)),
+                     60, iterations=1 + more).dual
         assert dual.warm_start_calls == warm[-1] > 0
         assert dual.iteration_calls == len(calls) - warm[-1]
         assert dual.iteration_calls == dual.iteration_passes == more
