@@ -8,7 +8,7 @@ Complex channel coefficients are Gaussian.  Every variance field in this
 package refers to the variance of each real component, so a coefficient
 with ``cross_var = 0.1`` has total complex power ``2 * 0.1`` around its
 mean.  This is the convention under which the Gaussian aggregate-gain
-approximation (see :mod:`ofdma_underlay.sinr`) is exact in its first two
+approximation (:func:`gaussian_sum_params`) is exact in its first two
 moments.
 
 Config files are flat UTF-8 ``key = value`` text.  Lists are comma
@@ -43,6 +43,25 @@ def uniform_gain_means(num_users: int, num_subcarriers: int, seed: int) -> np.nd
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6A1D5)))
     means = rng.uniform(0.0, 2.0, size=(num_users, num_subcarriers))
     return np.maximum(means, 1e-6)
+
+
+def gaussian_sum_params(mean: complex, per_comp_var: float, count: int):
+    """Normal approximation of sum_k |H_k|^2 over ``count`` iid coefficients.
+
+    ``mean`` is the common complex mean and ``per_comp_var`` the variance of
+    each real component.  Returns (mu_N, var_N), the exact mean and variance
+    of the sum.
+    """
+    if per_comp_var < 0.0:
+        raise ValueError("per-component variance must be >= 0")
+    # products, not ** 2: a huge input overflows to inf instead of raising
+    mean_power = abs(mean) * abs(mean)
+    if per_comp_var == 0.0:
+        return mean_power * count, 0.0
+    noncentrality = count * mean_power / per_comp_var
+    mu = per_comp_var * (2.0 * count + noncentrality)
+    var = per_comp_var * per_comp_var * (4.0 * count + 4.0 * noncentrality)
+    return mu, var
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,13 +181,10 @@ class ScenarioConfig:
             raise ConfigError("noise_psd_dbm_hz = %r over bandwidth_hz = %r gives a "
                               "non-finite noise power"
                               % (self.noise_psd_dbm_hz, self.bandwidth_hz))
-        # both modules import this one, so they can only load here
-        from .interference import posterior_aggregate_params
-        from .sinr import gaussian_sum_params
         # the estimate's moments are bounded by the true link's (estimate_var <= cross_var)
         moments = gaussian_sum_params(self.cross_mean, self.cross_var, self.num_subcarriers)
         if self.csi_mode == "imperfect":
-            moments += posterior_aggregate_params(self)
+            moments += self.posterior_aggregate
         if not all(math.isfinite(v) for v in moments):
             raise ConfigError("cross_var = %r with cross_mean = %r gives non-finite "
                               "aggregate cross-gain moments" % (self.cross_var, self.cross_mean))
@@ -254,6 +270,20 @@ class ScenarioConfig:
     def posterior_var(self) -> float:
         """Per-component variance of the cross link conditioned on its estimate."""
         return (1.0 - self.correlation ** 2) * self.error_var
+
+    @property
+    def posterior_aggregate(self) -> tuple:
+        """Normal moments of the posterior aggregate gain before estimates arrive.
+
+        The posterior aggregate is an affine map of sum_k |Hhat_k|^2, so its
+        law across estimate draws follows from the Gaussian sum approximation
+        applied to the estimates.
+        """
+        mu_hat, var_hat = gaussian_sum_params(self.cross_mean, self.estimate_var,
+                                              self.num_subcarriers)
+        scale = self.posterior_gain ** 2
+        offset = 2.0 * self.num_subcarriers * self.posterior_var
+        return scale * mu_hat + offset, scale * scale * var_hat
 
     # -- serialization ------------------------------------------------------
 

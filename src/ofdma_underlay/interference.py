@@ -38,13 +38,11 @@ from ._special import gammaincc
 from .channel import PosteriorCrossStats, posterior_stats
 from .config import ScenarioConfig
 from .errors import ShapeError
-from .sinr import gaussian_sum_params
 
 __all__ = [
     "audit_deterministic",
     "xi_means",
     "alpha_weights",
-    "posterior_aggregate_params",
     "composite_chisq",
     "central_tail_approx",
     "surrogate_budget",
@@ -82,20 +80,6 @@ def xi_means(post: PosteriorCrossStats) -> np.ndarray:
 def alpha_weights(post: PosteriorCrossStats) -> np.ndarray:
     """Certainty-equivalent interference weights var*(2 + mu_xi), like xi_means."""
     return post.variance * (2.0 + xi_means(post))
-
-
-def posterior_aggregate_params(cfg: ScenarioConfig):
-    """Normal moments of the posterior aggregate gain before estimates arrive.
-
-    The posterior aggregate is an affine map of sum_k |Hhat_k|^2, so its
-    law across estimate draws follows from the Gaussian sum approximation
-    applied to the estimates.
-    """
-    mu_hat, var_hat = gaussian_sum_params(cfg.cross_mean, cfg.estimate_var,
-                                          cfg.num_subcarriers)
-    scale = cfg.posterior_gain ** 2
-    offset = 2.0 * cfg.num_subcarriers * cfg.posterior_var
-    return scale * mu_hat + offset, scale * scale * var_hat
 
 
 def composite_chisq(beta, mu_xi):

@@ -76,11 +76,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import BatchRealizations, posterior_stats
-from .config import ScenarioConfig
+from .config import ScenarioConfig, gaussian_sum_params
 from .errors import ConvergenceError, InfeasibleError, ShapeError
-from .interference import alpha_weights, enforced_budgets, posterior_aggregate_params
+from .interference import alpha_weights, enforced_budgets
 from .modulation import LN2, ber_slope, cutoff_threshold, discretize_rate
-from .sinr import SinrDistribution, gaussian_sum_params
+from .sinr import SinrDistribution
 
 __all__ = [
     "PolicyBatch",
@@ -258,7 +258,7 @@ class _Workspace:
         if cfg.constraint_mode == "probabilistic":
             cfg.check_solvable()
             weights = alpha_weights(posterior_stats(cfg, batch.cross_est))  # (S, M, K)
-            agg_mean, agg_var = posterior_aggregate_params(cfg)
+            agg_mean, agg_var = cfg.posterior_aggregate
         else:
             known = batch.cross_true if cfg.csi_mode == "perfect" else batch.cross_est
             weights = known.real ** 2 + known.imag ** 2            # (S, M, K)

@@ -14,7 +14,7 @@ across the band.  The reference SINR of user n on subcarrier k is
 components, so its exact law is the scaled noncentral chi-square
 var * chi'^2_{2K}(mu'); the Monte Carlo reference draws that law.  For
 the closed forms N is approximated by a Normal matched to its exact
-first two moments,
+first two moments (:func:`~ofdma_underlay.config.gaussian_sum_params`),
 
     mu_N  = var * (2K + mu'),   var_N = var^2 * (4K + 4 mu'),
     mu'   = sum_k |mean_k|^2 / var,
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _special
-from .config import ScenarioConfig
+from .config import ScenarioConfig, gaussian_sum_params
 from .errors import ShapeError
 
 __all__ = [
@@ -62,25 +62,6 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _Q_IS_ONE = 6.0     # z beyond which 1 - exp(-z^2) erfcx(z) / 2 rounds to 1.0
 _MC_TAG = 0x51E2  # namespaces the Monte Carlo stream away from realization streams
-
-
-def gaussian_sum_params(mean: complex, per_comp_var: float, count: int):
-    """Normal approximation of sum_k |H_k|^2 over ``count`` iid coefficients.
-
-    ``mean`` is the common complex mean and ``per_comp_var`` the variance of
-    each real component.  Returns (mu_N, var_N), the exact mean and variance
-    of the sum.
-    """
-    if per_comp_var < 0.0:
-        raise ValueError("per-component variance must be >= 0")
-    # products, not ** 2: a huge input overflows to inf instead of raising
-    mean_power = abs(mean) * abs(mean)
-    if per_comp_var == 0.0:
-        return mean_power * count, 0.0
-    noncentrality = count * mean_power / per_comp_var
-    mu = per_comp_var * (2.0 * count + noncentrality)
-    var = per_comp_var * per_comp_var * (4.0 * count + 4.0 * noncentrality)
-    return mu, var
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from ofdma_underlay.interference import (_shared_collisions, alpha_weights,
                                          audit_probabilistic,
                                          central_tail_approx, composite_chisq,
                                          enforced_budgets,
-                                         posterior_aggregate_params,
                                          surrogate_budget, xi_means)
 from ofdma_underlay.presets import deterministic_benchmark, imperfect_benchmark
 
@@ -100,7 +99,7 @@ def test_alpha_weights_certainty_equivalent():
 
 def test_posterior_aggregate_params_match_sampling():
     cfg = imperfect_benchmark()
-    mu, var = posterior_aggregate_params(cfg)
+    mu, var = cfg.posterior_aggregate
     rng = np.random.default_rng(17)
     d = math.sqrt(cfg.estimate_var)
     est = cfg.cross_mean + d * (rng.standard_normal((100_000, 64))
