@@ -148,10 +148,11 @@ def run_experiment(cfg: ScenarioConfig, num_states: int, *, realizations=None,
     resampling; the analytic column stays).  A zero power budget
     short-circuits to an all-zero report.
     """
-    if num_states < 1 or iterations < 1:
-        raise ConfigError("num_states and iterations must be >= 1")
-    if audit_states < 0 or audit_samples < 1:
-        raise ConfigError("audit_states must be >= 0 and audit_samples >= 1")
+    for name, value, low in (("num_states", num_states, 1), ("iterations", iterations, 1),
+                             ("audit_states", audit_states, 0),
+                             ("audit_samples", audit_samples, 1)):
+        if value < low:
+            raise ConfigError("%s must be >= %d, got %d" % (name, low, value))
     if realizations is not None and len(realizations) != num_states:
         raise ConfigError("realizations hold %d states, but num_states is %d"
                           % (len(realizations), num_states))

@@ -77,7 +77,7 @@ import numpy as np
 
 from .channel import BatchRealizations, posterior_stats
 from .config import ScenarioConfig, gaussian_sum_params
-from .errors import ConvergenceError, InfeasibleError, ShapeError
+from .errors import ConfigError, ConvergenceError, InfeasibleError, ShapeError
 from .interference import alpha_weights, enforced_budgets
 from .modulation import LN2, ber_slope, cutoff_threshold, discretize_rate
 from .sinr import SinrDistribution
@@ -250,6 +250,16 @@ class _Workspace:
         self.cfg = cfg
         s = len(batch)
         n, m, k = cfg.num_users, cfg.num_primaries, cfg.num_subcarriers
+        for name, rows in (("direct_power", n), ("cross_true", m), ("cross_est", m)):
+            shape = np.shape(getattr(batch, name))
+            if shape != (s, rows, k):
+                raise ShapeError("batch %s has shape %s, not %s for the scenario's "
+                                 "(N, M, K) = %s" % (name, shape, (s, rows, k), (n, m, k)))
+        # a perfect-CSI batch shares one cross array (sample_realizations)
+        form = "perfect" if batch.cross_true is batch.cross_est else "imperfect"
+        if form != cfg.csi_mode:
+            raise ConfigError("the batch holds %s-CSI cross links, but csi_mode is %s"
+                              % (form, cfg.csi_mode))
         self.count = s
         self.streams = np.asarray(batch.streams)
         self.evaluated = self.calls = 0     # _allocate's state-evaluations and calls so far
@@ -667,7 +677,8 @@ def solve_dual(cfg: ScenarioConfig, realizations: BatchRealizations, *,
     """Maximize average spectral efficiency over a batch of fading states.
 
     ``realizations`` is the drawn batch to solve (the harness draws it;
-    see :func:`~ofdma_underlay.channel.sample_realizations`).
+    see :func:`~ofdma_underlay.channel.sample_realizations`); a batch of
+    another (N, M, K) raises ShapeError, one of the other CSI form ConfigError.
     :func:`_warm_start_mu` settles mu, and its states are iteration 1 of
     the solution, ``converged`` true.  Each further one of ``iterations``
     is a projected subgradient step (for convergence studies); beyond 1,

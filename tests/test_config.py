@@ -15,6 +15,7 @@ from ofdma_underlay.config import (CONSTRAINT_MODES, RATE_MODES, ScenarioConfig,
 from ofdma_underlay.errors import ConfigError
 from ofdma_underlay.optimizer import solve_dual
 from ofdma_underlay.presets import deterministic_benchmark, get_preset, imperfect_benchmark
+from ofdma_underlay.sinr import gaussian_sum_params
 
 
 def test_preset_shapes_and_broadcast():
@@ -67,6 +68,16 @@ def test_overflowing_derived_quantities_are_rejected_by_name(preset, key, value,
     raw = apply_overrides(preset().to_mapping(), ["%s=%s" % (key, value)])
     with pytest.raises(ConfigError, match=field):
         build_config(raw)
+
+
+@pytest.mark.parametrize("constraint_mode", CONSTRAINT_MODES)
+def test_overflowing_posterior_aggregate_is_rejected(constraint_mode):
+    # the true links' moments stay finite, so only the posterior term overflows
+    mean, var = 2.1330449131466143e151, 1e-3
+    assert all(map(math.isfinite, gaussian_sum_params(mean, var, 64)))
+    with pytest.raises(ConfigError, match="gives non-finite aggregate cross-gain moments"):
+        imperfect_benchmark(cross_mean=mean, cross_var=var, error_var=1e-4,
+                            constraint_mode=constraint_mode)
 
 
 def test_ber_target_bounds_name_the_envelope():

@@ -2,7 +2,9 @@
 other, and importing the package pulls in no SciPy."""
 
 import ast
+import graphlib
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -50,3 +52,34 @@ def test_modules_import_no_private_names_from_each_other():
                 if alias.name.startswith("_") and alias.name not in MODULES:
                     offenders.append("%s: %s" % (path.name, alias.name))
     assert offenders == []
+
+
+
+def _imported_modules(node) -> set:
+    """File stems of the package modules an import statement loads."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        base = (importlib.util.resolve_name("." * node.level + (node.module or ""),
+                                            "ofdma_underlay") if node.level else node.module)
+        names = [base + "." + alias.name if base == "ofdma_underlay" else base
+                 for alias in node.names]
+    stems = {name.split(".")[1] if "." in name else ""
+             for name in names if name.split(".")[0] == "ofdma_underlay"}
+    return {stem if stem in MODULES else "__init__" for stem in stems}
+
+
+def test_modules_import_at_top_level_in_an_acyclic_graph():
+    # every import sits at its module's top, and no chain of imports leads
+    # back to where it started, so each module loads after those it uses
+    src = Path(ofdma_underlay.__file__).resolve().parent
+    nested, graph = [], {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        nested += ["%s:%d" % (path.name, node.lineno) for node in imports
+                   if node not in tree.body]
+        graph[path.stem] = set().union(*map(_imported_modules, imports))
+    assert nested == []
+    graphlib.TopologicalSorter(graph).prepare()     # raises CycleError naming a cycle

@@ -13,7 +13,7 @@ import ofdma_underlay.harness as harness_module
 import ofdma_underlay.interference as interference_module
 from ofdma_underlay.channel import posterior_stats, sample_realizations
 from ofdma_underlay.config import build_config
-from ofdma_underlay.errors import ConfigError
+from ofdma_underlay.errors import ConfigError, ShapeError
 from ofdma_underlay.harness import (
     SWEEP_AXES,
     SWEEP_HEADER,
@@ -30,7 +30,8 @@ from ofdma_underlay.harness import (
 from ofdma_underlay.interference import (_collision_analytic, _worst_collisions,
                                          audit_collisions, audit_deterministic,
                                          audit_probabilistic, surrogate_budget)
-from ofdma_underlay.presets import imperfect_benchmark
+from ofdma_underlay.optimizer import solve_dual
+from ofdma_underlay.presets import deterministic_benchmark, imperfect_benchmark
 
 
 def _cfg(**overrides):
@@ -123,6 +124,45 @@ def test_given_draw_must_hold_num_states():
     batch = sample_realizations(cfg, range(30))
     with pytest.raises(ConfigError, match=r"\b30\b.*\b10\b"):
         run_experiment(cfg, 10, realizations=batch)
+
+
+_DET8 = deterministic_benchmark(num_subcarriers=8)
+
+
+@pytest.mark.parametrize("cfg, drawn, error, message", [
+    (_DET8, _DET8.with_updates(num_subcarriers=16), ShapeError,
+     r"^batch direct_power has shape \(5, 3, 16\), not \(5, 3, 8\) for the "
+     r"scenario's \(N, M, K\) = \(3, 1, 8\)$"),
+    (_DET8, _DET8.with_updates(num_users=4), ShapeError,
+     r"^batch direct_power has shape \(5, 4, 8\), not \(5, 3, 8\)"),
+    (_DET8, _DET8.with_updates(num_primaries=2), ShapeError,
+     r"^batch cross_true has shape \(5, 2, 8\), not \(5, 1, 8\)"),
+    (imperfect_benchmark(num_subcarriers=16), deterministic_benchmark(num_subcarriers=16),
+     ConfigError, "^the batch holds perfect-CSI cross links, but csi_mode is imperfect$"),
+    (deterministic_benchmark(num_subcarriers=16), imperfect_benchmark(num_subcarriers=16),
+     ConfigError, "^the batch holds imperfect-CSI cross links, but csi_mode is perfect$"),
+], ids=["K", "N", "M", "perfect-batch", "imperfect-batch"])
+@pytest.mark.parametrize("entry", ["solve_dual", "run_experiment"])
+def test_batch_of_another_scenario_is_refused(cfg, drawn, error, message, entry):
+    batch = sample_realizations(drawn, range(5))
+    with pytest.raises(error, match=message):
+        if entry == "solve_dual":
+            solve_dual(cfg, batch)
+        else:
+            run_experiment(cfg, 5, realizations=batch)
+
+
+def test_experiment_arguments_are_named_with_their_values():
+    cfg = _cfg()
+    for kwargs, message in (
+            ({"num_states": 0}, "num_states must be >= 1, got 0"),
+            ({"iterations": 0}, "iterations must be >= 1, got 0"),
+            ({"audit_states": -1}, "audit_states must be >= 0, got -1"),
+            ({"audit_samples": 0}, "audit_samples must be >= 1, got 0")):
+        kwargs = {"num_states": 10, **kwargs}
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfg, kwargs.pop("num_states"), **kwargs)
+        assert str(info.value) == message
 
 
 def test_zero_power_report_keeps_its_scenario():
