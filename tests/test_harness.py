@@ -159,9 +159,8 @@ def test_experiment_arguments_are_named_with_their_values():
             ({"iterations": 0}, "iterations must be >= 1, got 0"),
             ({"audit_states": -1}, "audit_states must be >= 0, got -1"),
             ({"audit_samples": 0}, "audit_samples must be >= 1, got 0")):
-        kwargs = {"num_states": 10, **kwargs}
         with pytest.raises(ConfigError) as info:
-            run_experiment(cfg, kwargs.pop("num_states"), **kwargs)
+            run_experiment(cfg, **{"num_states": 10, **kwargs})
         assert str(info.value) == message
 
 
